@@ -15,46 +15,23 @@ This is the package's public surface since PR 3.  The three-layer story:
    :class:`~repro.ccoll.movement.CCollOutcome`): per-rank values plus the
    simulated timeline.
 
-Execution is pluggable through the :class:`~repro.mpisim.backends.Backend`
-protocol: the default :class:`~repro.mpisim.backends.SimBackend` runs the
-discrete-event simulator (bit-for-bit the legacy behaviour) and
-:class:`~repro.mpisim.backends.MPI4PyBackend` interprets the same rank
-programs against real MPI when ``mpi4py`` is available::
+Every collective takes one path: the communicator resolves the call's mode,
+builds a :class:`~repro.collectives.context.Plan` from the collective
+registry (:mod:`repro.api.registry`) and runs it on the discrete-event
+simulator.  ``Communicator.capture`` returns the plan unrun, for callers
+that schedule rank programs themselves (:mod:`repro.workload`)::
 
     from repro.api import Cluster, Communicator
 
     comm = Cluster.from_preset("shared_uplink", ranks_per_node=4).communicator(16)
     outcome = comm.allreduce(vectors, compression="auto")
     print(outcome.total_time, comm.last_algorithm)
-
-The legacy ``run_*`` free functions still exist as deprecated shims that
-delegate here; new code should not call them.
 """
 
 from repro.api.cluster import Cluster
 from repro.api.communicator import Communicator
-from repro.mpisim.backends import (
-    Backend,
-    BackendUnavailableError,
-    CaptureBackend,
-    CapturedProgram,
-    MPI4PyBackend,
-    ProgramCaptured,
-    SimBackend,
-    default_backend,
-    resolve_backend,
-)
 
 __all__ = [
-    "Backend",
-    "BackendUnavailableError",
-    "CaptureBackend",
-    "CapturedProgram",
     "Cluster",
     "Communicator",
-    "MPI4PyBackend",
-    "ProgramCaptured",
-    "SimBackend",
-    "default_backend",
-    "resolve_backend",
 ]

@@ -10,10 +10,15 @@ once, then exposes the full collective surface as methods::
     outcome = comm.allreduce(vectors, compression="auto")   # PR 2 break-even gate
     comm.last_algorithm                                     # what "auto" chose
 
-Every method returns the same :class:`~repro.collectives.context.CollectiveOutcome`
-(or :class:`~repro.ccoll.movement.CCollOutcome` when compression is involved)
-the legacy ``run_*`` functions returned, produced bit-for-bit identically on
-the default :class:`~repro.mpisim.backends.SimBackend`.
+Every method takes the same path: it resolves the call's mode (the schedule
+and the compression route), builds a :class:`~repro.collectives.context.Plan`
+from the collective registry (:mod:`repro.api.registry`), and hands the plan
+to :meth:`Communicator._execute`, which simulates it, records the session
+traces and returns a :class:`~repro.collectives.context.CollectiveOutcome`
+(a :class:`~repro.ccoll.movement.CCollOutcome` when compression is
+involved).  :meth:`Communicator.capture` stops after the build and returns
+the plan itself, which is how :mod:`repro.workload` multiplexes many
+sessions onto one engine.
 
 The ``compression`` argument is resolved through the *same* alias table as the
 Table V harness (:data:`repro.ccoll.variants.VARIANT_ALIASES`):
@@ -25,8 +30,8 @@ Table V harness (:data:`repro.ccoll.variants.VARIANT_ALIASES`):
     The C-Coll variant with that canonical name (``Overlap`` / ``DI`` / ``ND``).
 ``"auto"``
     The placement- and bandwidth-aware choice: on multi-rank-per-node fabrics
-    the topology-aware C-Allreduce with its ``compress_inter="auto"`` gate;
-    elsewhere the break-even gate of
+    the topology-aware C-Allreduce, which compresses only the inter-node hops
+    and only when the break-even gate says so; elsewhere the break-even gate of
     :func:`repro.ccoll.topology_aware.select_inter_compression` decides
     between the full C-collective and the uncompressed baseline.
 """
@@ -36,29 +41,54 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, List, Optional, Union
 
+import numpy as np
+
 from repro.api.cluster import Cluster
-from repro.ccoll.computation import _run_c_reduce_scatter
-from repro.ccoll.cpr_p2p import _run_cpr_allgather, _run_cpr_bcast, _run_cpr_scatter
-from repro.ccoll.movement import CCollOutcome, _run_c_allgather, _run_c_bcast, _run_c_scatter
-from repro.ccoll.topology_aware import (
-    _run_topology_aware_c_allreduce,
-    select_inter_compression,
-)
-from repro.ccoll.variants import _VARIANT_RUNNERS, canonical_variant
-from repro.collectives.allgather import _run_ring_allgather
-from repro.collectives.alltoall import _run_pairwise_alltoall
-from repro.collectives.barrier import _run_barrier
-from repro.collectives.bcast import _run_binomial_bcast
-from repro.collectives.context import CollectiveOutcome
-from repro.collectives.gather import _run_binomial_gather
-from repro.collectives.reduce import _run_binomial_reduce
-from repro.collectives.reduce_scatter import _run_ring_reduce_scatter
-from repro.collectives.scatter import _run_binomial_scatter
-from repro.collectives.selection import _run_allreduce
-from repro.mpisim.backends import Backend, resolve_backend
-from repro.mpisim.topology import FlatTopology
+from repro.api.registry import REGISTRY
+from repro.ccoll.movement import CCollOutcome
+from repro.ccoll.topology_aware import select_inter_compression
+from repro.ccoll.variants import canonical_variant
+from repro.collectives import selection
+from repro.collectives.context import CollectiveOutcome, Plan
+from repro.mpisim.launcher import SimulationResult, run_simulation
+from repro.mpisim.topology import FlatTopology, Topology
 
 __all__ = ["Communicator"]
+
+
+def _check_fits(topology: Optional[Topology], n_ranks: int) -> None:
+    """Raise unless ``n_ranks`` ranks fit on the fabric's host slots.
+
+    Fixed-size fabrics (fat trees, dragonflies, and a job's placement view of
+    one) report ``n_fabric_nodes``; flat and two-level fabrics size
+    themselves to the communicator and are unbounded.
+    """
+    hosts = getattr(topology, "n_fabric_nodes", None)
+    if hosts is None:
+        return
+    last = max(topology.node_of(rank) for rank in range(n_ranks))
+    if last >= hosts:
+        raise ValueError(
+            f"{n_ranks} ranks reach node {last}, outside the fabric's {hosts} "
+            f"host slots ({topology.describe()}); grow the fabric or use fewer ranks"
+        )
+
+
+def _reporting_inter_compressed(plan: Plan, compressed: bool) -> Plan:
+    """Make ``plan`` finish as a :class:`CCollOutcome` saying whether "auto" compressed."""
+    finish = plan.finish
+
+    def finish_auto(sim: SimulationResult) -> CCollOutcome:
+        outcome = finish(sim)
+        return CCollOutcome(
+            values=outcome.values,
+            sim=outcome.sim,
+            compression_ratio=getattr(outcome, "compression_ratio", None),
+            inter_compressed=compressed,
+        )
+
+    plan.finish = finish_auto
+    return plan
 
 
 class Communicator:
@@ -69,23 +99,16 @@ class Communicator:
     cluster:
         The machine description (``None`` -> the calibrated default cluster).
     n_ranks:
-        Communicator size; bound once, like ``MPI_COMM_WORLD``.
-    backend:
-        Executor for rank programs (``None``/"sim" -> the simulator,
-        "mpi4py" -> real MPI; see :mod:`repro.mpisim.backends`).
+        Communicator size; bound once, like ``MPI_COMM_WORLD``.  A fixed-size
+        fabric must have a host slot for every rank.
     """
 
-    def __init__(
-        self,
-        cluster: Optional[Cluster],
-        n_ranks: int,
-        backend: Union[Backend, str, None] = None,
-    ) -> None:
+    def __init__(self, cluster: Optional[Cluster], n_ranks: int) -> None:
         if int(n_ranks) != n_ranks or n_ranks < 1:
             raise ValueError(f"n_ranks must be a positive integer, got {n_ranks!r}")
         self.cluster = cluster if cluster is not None else Cluster()
         self.n_ranks = int(n_ranks)
-        self.backend = resolve_backend(backend)
+        _check_fits(self.cluster.topology, self.n_ranks)
         #: compression mode applied when a call does not pass one explicitly
         #: (overridable per session via :meth:`with_options`)
         self.default_compression: Union[str, bool] = "off"
@@ -93,6 +116,8 @@ class Communicator:
         self.algorithm_trace: List[str] = []
         #: canonical compression route of each compressed-capable call
         self.compression_trace: List[str] = []
+        #: set on the sibling :meth:`capture` hands its call: plans are returned unrun
+        self._capturing = False
 
     # ----------------------------------------------------------------- helpers
 
@@ -120,8 +145,8 @@ class Communicator:
     ) -> "Communicator":
         """A sibling session with some options shallowly overridden.
 
-        The returned communicator shares this session's rank count, backend
-        and — unless ``contention`` changes — the *same* topology object, so
+        The returned communicator shares this session's rank count and —
+        unless ``contention`` changes — the *same* topology object, so
         parameter sweeps (the harness runs many) adjust ``error_bound``,
         ``size_multiplier`` or the compression default without rebuilding the
         fabric's stage caches or the session itself.
@@ -160,7 +185,7 @@ class Communicator:
                     cluster.network, contention=contention
                 )
             cluster = cluster.with_updates(**updates)
-        clone = Communicator(cluster, self.n_ranks, backend=self.backend)
+        clone = Communicator(cluster, self.n_ranks)
         if compression is not None:
             clone._resolve_compression(compression)  # validate eagerly
             clone.default_compression = compression
@@ -168,37 +193,62 @@ class Communicator:
             clone.default_compression = self.default_compression
         return clone
 
-    def _common(self) -> dict:
-        """Cluster bindings threaded into every runner."""
-        return {
-            "network": self.cluster.network,
-            "topology": self.cluster.topology,
-            "backend": self.backend,
-        }
-
-    def capture(self, call: Callable[["Communicator"], Any]):
-        """Record the rank program ``call`` would execute, without running it.
+    def capture(self, call: Callable[["Communicator"], Any]) -> Plan:
+        """Build the plan ``call`` would run, without running it.
 
         The session-multiplexing hook behind :mod:`repro.workload`: ``call``
-        receives a sibling communicator wired to a
-        :class:`~repro.mpisim.backends.CaptureBackend` and issues exactly one
-        collective against it (``lambda c: c.allreduce(vectors)``).  All
-        build-time work happens for real — algorithm selection against this
-        cluster's topology, compression planning, payload precomputation —
-        but instead of simulating, the backend stores the per-rank program
-        factory and aborts.  Returns the
-        :class:`~repro.mpisim.backends.CapturedProgram`, whose factory a
-        multi-job engine can bind onto its own slots.
+        receives a sibling communicator and issues exactly one collective
+        against it (``lambda c: c.allreduce(vectors)``).  All build-time work
+        happens for real — algorithm selection against this cluster's
+        topology, compression planning, payload precomputation — but the
+        sibling returns the :class:`~repro.collectives.context.Plan` instead
+        of simulating it, so a multi-job engine can bind ``plan.factory``
+        onto its own slots.
         """
-        from repro.mpisim.backends import CaptureBackend, ProgramCaptured
-
-        probe = Communicator(self.cluster, self.n_ranks, backend=CaptureBackend())
+        probe = Communicator(self.cluster, self.n_ranks)
         probe.default_compression = self.default_compression
-        try:
-            call(probe)
-        except ProgramCaptured:
-            pass
-        return probe.backend.take()
+        probe._capturing = True
+        return call(probe)
+
+    def _plan(
+        self,
+        collective: str,
+        variant: str,
+        *data,
+        algorithm: Optional[str] = None,
+        compression: Optional[str] = None,
+        **options,
+    ) -> Plan:
+        """Build the registry's ``(collective, variant)`` plan for this session.
+
+        ``algorithm`` and ``compression`` label the plan for the session
+        traces (``None``: the call is not traced).
+        """
+        plan = REGISTRY[collective, variant](self.cluster, self.n_ranks, *data, **options)
+        plan.algorithm = algorithm
+        plan.compression = compression
+        return plan
+
+    def _execute(self, plan: Plan):
+        """Run ``plan`` on the simulator: the one execution path of every collective.
+
+        Appends the plan's labels to the session traces and returns what
+        ``plan.finish`` makes of the simulation; the sibling of
+        :meth:`capture` returns the plan itself, unrun.
+        """
+        if self._capturing:
+            return plan
+        sim = run_simulation(
+            plan.n_ranks,
+            plan.factory,
+            network=self.cluster.network,
+            topology=self.cluster.topology,
+        )
+        if plan.algorithm is not None:
+            self.algorithm_trace.append(plan.algorithm)
+        if plan.compression is not None:
+            self.compression_trace.append(plan.compression)
+        return plan.finish(sim)
 
     def _resolve_compression(self, compression: Union[str, bool]) -> str:
         """Map a user compression switch to ``"auto"`` or a canonical variant."""
@@ -258,166 +308,77 @@ class Communicator:
             # default: the named algorithms are uncompressed schedules
             mode = "AD"
         if mode == "AD":
-            outcome, used = _run_allreduce(
-                inputs,
-                self.n_ranks,
-                algorithm=algorithm,
-                ctx=self.cluster.context(),
-                **self._common(),
-            )
-            self.algorithm_trace.append(used)
-            self.compression_trace.append("AD")
-            return outcome
+            return self._execute(self._uncompressed_allreduce(inputs, algorithm))
         if algorithm != "auto":
             raise ValueError(
                 "algorithm= only applies to compression='off'; the compressed "
                 "variants fix their own schedule (ring / hierarchical)"
             )
         if mode == "auto":
-            return self._auto_compressed_allreduce(inputs)
-        runner = _VARIANT_RUNNERS[mode]
-        outcome = runner(
-            inputs,
-            self.n_ranks,
-            self.cluster.config,
-            self.cluster.network,
-            self.cluster.topology,
-            self.backend,
+            return self._execute(self._auto_compressed_allreduce(inputs))
+        return self._execute(
+            self._plan("allreduce", mode, inputs, algorithm="ring", compression=mode)
         )
-        self.algorithm_trace.append("ring")
-        self.compression_trace.append(mode)
-        return outcome
 
-    def _auto_compressed_allreduce(self, inputs) -> CCollOutcome:
+    def _uncompressed_allreduce(self, inputs, algorithm: str) -> Plan:
+        """The named or (``"auto"``) tuning-table-selected uncompressed allreduce."""
+        if not isinstance(inputs, np.ndarray):
+            inputs = list(inputs)
+        # select_algorithm is looked up in the selection module at call time,
+        # so instrumenting that module's attribute sees every "auto" pick
+        used = selection.resolve_algorithm(
+            algorithm, inputs, self.n_ranks, self.cluster.context(), self.cluster.topology
+        )
+        return self._plan("allreduce", used, inputs, algorithm=used, compression="AD")
+
+    def _auto_compressed_allreduce(self, inputs) -> Plan:
         """``compression="auto"``: placement-aware schedule + break-even gate.
 
         Multi-rank-per-node fabrics get the topology-aware C-Allreduce, whose
-        ``compress_inter="auto"`` gate decides per fabric whether the
-        inter-node hops are worth compressing.  One-rank-per-node fabrics
-        (including flat) have no intra/inter split, so the same break-even
-        gate simply picks between the full C-Allreduce and the tuning-table
-        baseline.
+        break-even gate decides per fabric whether the inter-node hops are
+        worth compressing.  One-rank-per-node fabrics (including flat) have
+        no intra/inter split, so the same gate simply picks between the full
+        C-Allreduce and the tuning-table baseline.
         """
         topology = self.cluster.topology
         if topology is not None and topology.max_ranks_per_node(self.n_ranks) > 1:
             # co-located ranks: the hierarchical schedule applies (on a single
             # node it degenerates to the lossless intra-node reduction)
-            outcome = _run_topology_aware_c_allreduce(
+            return self._plan(
+                "allreduce",
+                "topology_aware",
                 inputs,
-                self.n_ranks,
-                topology=topology,
-                config=self.cluster.config,
-                network=self.cluster.network,
-                compress_inter="auto",
-                backend=self.backend,
+                algorithm="hierarchical",
+                compression="topology_aware",
             )
-            self.algorithm_trace.append("hierarchical")
-            self.compression_trace.append("topology_aware")
-            return outcome
         if self._gate_says_compress():
             variant = self._configured_c_variant()
-            outcome = _VARIANT_RUNNERS[variant](
-                inputs,
-                self.n_ranks,
-                self.cluster.config,
-                self.cluster.network,
-                topology,
-                self.backend,
-            )
-            outcome.inter_compressed = True
-            self.algorithm_trace.append("ring")
-            self.compression_trace.append(variant)
-            return outcome
-        plain, used = _run_allreduce(
-            inputs,
-            self.n_ranks,
-            algorithm="auto",
-            ctx=self.cluster.context(),
-            **self._common(),
-        )
-        self.algorithm_trace.append(used)
-        self.compression_trace.append("AD")
-        return CCollOutcome(
-            values=plain.values, sim=plain.sim, compression_ratio=None, inter_compressed=False
-        )
+            plan = self._plan("allreduce", variant, inputs, algorithm="ring", compression=variant)
+            return _reporting_inter_compressed(plan, True)
+        return _reporting_inter_compressed(self._uncompressed_allreduce(inputs, "auto"), False)
 
     # --------------------------------------------------- data-movement family
 
     def allgather(self, inputs, compression: Union[str, bool, None] = None) -> CollectiveOutcome:
         """Every rank contributes a block; every rank receives all blocks."""
         mode = self._movement_mode("allgather", compression)
-        if mode == "AD":
-            return self._record(
-                mode,
-                _run_ring_allgather(
-                    inputs, self.n_ranks, ctx=self.cluster.context(), **self._common()
-                ),
-            )
-        if mode == "DI":
-            return self._record(
-                mode,
-                _run_cpr_allgather(
-                    inputs, self.n_ranks, config=self.cluster.config, **self._common()
-                ),
-            )
-        return self._record(
-            mode,
-            _run_c_allgather(inputs, self.n_ranks, config=self.cluster.config, **self._common()),
-        )
+        return self._execute(self._plan("allgather", mode, inputs, compression=mode))
 
     def bcast(
         self, data, root: int = 0, compression: Union[str, bool, None] = None
     ) -> CollectiveOutcome:
         """Broadcast ``data`` from ``root`` to every rank."""
-        self._check_root(root)
+        root = self._check_root(root)
         mode = self._movement_mode("bcast", compression)
-        if mode == "AD":
-            return self._record(
-                mode,
-                _run_binomial_bcast(
-                    data, self.n_ranks, root=root, ctx=self.cluster.context(), **self._common()
-                ),
-            )
-        if mode == "DI":
-            return self._record(
-                mode,
-                _run_cpr_bcast(
-                    data, self.n_ranks, root=root, config=self.cluster.config, **self._common()
-                ),
-            )
-        return self._record(
-            mode,
-            _run_c_bcast(
-                data, self.n_ranks, root=root, config=self.cluster.config, **self._common()
-            ),
-        )
+        return self._execute(self._plan("bcast", mode, data, root=root, compression=mode))
 
     def scatter(
         self, inputs, root: int = 0, compression: Union[str, bool, None] = None
     ) -> CollectiveOutcome:
         """Scatter one block per rank from ``root``."""
-        self._check_root(root)
+        root = self._check_root(root)
         mode = self._movement_mode("scatter", compression)
-        if mode == "AD":
-            return self._record(
-                mode,
-                _run_binomial_scatter(
-                    inputs, self.n_ranks, root=root, ctx=self.cluster.context(), **self._common()
-                ),
-            )
-        if mode == "DI":
-            return self._record(
-                mode,
-                _run_cpr_scatter(
-                    inputs, self.n_ranks, root=root, config=self.cluster.config, **self._common()
-                ),
-            )
-        return self._record(
-            mode,
-            _run_c_scatter(
-                inputs, self.n_ranks, root=root, config=self.cluster.config, **self._common()
-            ),
-        )
+        return self._execute(self._plan("scatter", mode, inputs, root=root, compression=mode))
 
     def reduce_scatter(
         self,
@@ -431,26 +392,12 @@ class Communicator:
         compressed path.
         """
         mode = self._movement_mode("reduce_scatter", compression, di_available=False)
-        if mode == "AD":
-            return self._record(
-                mode,
-                _run_ring_reduce_scatter(
-                    inputs, self.n_ranks, ctx=self.cluster.context(), **self._common()
-                ),
-            )
-        # trace the schedule that actually runs: the explicit overlap argument,
-        # falling back to the config's PIPE-SZx switch (like the runner does)
-        effective_overlap = self.cluster.config.use_overlap if overlap is None else overlap
-        return self._record(
-            "Overlap" if effective_overlap else "ND",
-            _run_c_reduce_scatter(
-                inputs,
-                self.n_ranks,
-                config=self.cluster.config,
-                overlap=overlap,
-                **self._common(),
-            ),
-        )
+        if mode == "Overlap":
+            # the compressed schedule that runs: the explicit overlap argument,
+            # falling back to the config's PIPE-SZx switch
+            pipelined = self.cluster.config.use_overlap if overlap is None else overlap
+            mode = "Overlap" if pipelined else "ND"
+        return self._execute(self._plan("reduce_scatter", mode, inputs, compression=mode))
 
     def _movement_mode(
         self, name: str, compression: Union[str, bool, None], di_available: bool = True
@@ -473,44 +420,37 @@ class Communicator:
             )
         return mode
 
-    def _record(self, mode: str, outcome: CollectiveOutcome) -> CollectiveOutcome:
-        self.compression_trace.append(mode)
-        return outcome
-
     # ------------------------------------------------------ uncompressed-only
 
     def gather(self, inputs, root: int = 0) -> CollectiveOutcome:
         """Gather one block per rank to ``root`` (no compressed variant in C-Coll)."""
-        self._check_root(root)
-        return _run_binomial_gather(
-            inputs, self.n_ranks, root=root, ctx=self.cluster.context(), **self._common()
-        )
+        root = self._check_root(root)
+        return self._execute(self._plan("gather", "AD", inputs, root=root))
 
     def reduce(self, inputs, root: int = 0) -> CollectiveOutcome:
         """Sum one vector per rank onto ``root`` (no compressed variant in C-Coll)."""
-        self._check_root(root)
-        return _run_binomial_reduce(
-            inputs, self.n_ranks, root=root, ctx=self.cluster.context(), **self._common()
-        )
+        root = self._check_root(root)
+        return self._execute(self._plan("reduce", "AD", inputs, root=root))
 
     def alltoall(self, inputs) -> CollectiveOutcome:
         """Pairwise exchange: ``inputs[r][d]`` is the block rank ``r`` sends to ``d``."""
-        return _run_pairwise_alltoall(
-            inputs, self.n_ranks, ctx=self.cluster.context(), **self._common()
-        )
+        return self._execute(self._plan("alltoall", "AD", inputs))
 
     def barrier(self) -> CollectiveOutcome:
         """Synchronise all ranks; every rank's value is ``None``."""
-        return _run_barrier(self.n_ranks, **self._common())
+        return self._execute(self._plan("barrier", "AD"))
 
     # -------------------------------------------------------------------- misc
 
-    def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.n_ranks:
-            raise ValueError(f"root must be in [0, {self.n_ranks}), got {root}")
+    def _check_root(self, root) -> int:
+        """Validate a root rank; return it as an ``int``."""
+        try:
+            index = int(root)
+        except (TypeError, ValueError):
+            index = None
+        if index is None or index != root or not 0 <= index < self.n_ranks:
+            raise ValueError(f"root must be an integer in [0, {self.n_ranks}), got {root!r}")
+        return index
 
     def __repr__(self) -> str:
-        return (
-            f"Communicator(n_ranks={self.n_ranks}, cluster={self.cluster!r}, "
-            f"backend={self.backend.name!r})"
-        )
+        return f"Communicator(n_ranks={self.n_ranks}, cluster={self.cluster!r})"

@@ -17,16 +17,16 @@ bundle the payload with everything the simulation needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.ccoll.config import CCollConfig
 from repro.collectives.context import CollectiveContext
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, check_compressible
 from repro.metrics.ratios import CompressionStats
 
-__all__ = ["CompressedMessage", "CompressionAdapter"]
+__all__ = ["CompressedMessage", "CompressionAdapter", "check_finite"]
 
 
 @dataclass(frozen=True)
@@ -111,3 +111,17 @@ class CompressionAdapter:
 def make_adapter(config: CCollConfig, ctx: Optional[CollectiveContext] = None) -> CompressionAdapter:
     """Build the adapter described by ``config`` (convenience for the collectives)."""
     return CompressionAdapter(config.make_codec(), ctx if ctx is not None else config.context())
+
+
+def check_finite(arrays: Sequence[np.ndarray], n_ranks: int) -> None:
+    """Reject NaN/Inf input of a compressed collective before it runs.
+
+    The codecs refuse non-finite values, so without this check the error
+    would surface from inside a rank program mid-simulation.  ``n_ranks``
+    counts the ranks that exchange compressed data: a lone one sends
+    nothing and so compresses nothing, and its input is not checked.
+    Raises :class:`~repro.compression.errors.UnsupportedDataError`.
+    """
+    if n_ranks > 1:
+        for array in arrays:
+            check_compressible(array, "compressed collective input")

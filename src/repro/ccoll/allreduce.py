@@ -17,23 +17,22 @@ and yields the paper's intermediate "ND" (Novel Design) variant of Table V.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressionAdapter
+from repro.ccoll.adapter import CompressionAdapter, check_finite
 from repro.ccoll.computation import (
     DEFAULT_SEGMENT_UNCOMPRESSED_BYTES,
     c_reduce_scatter_program,
 )
-from repro.ccoll.config import CCollConfig
-from repro.ccoll.movement import CCollOutcome, _finish, c_allgather_program
-from repro.collectives.context import CollectiveContext, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
-from repro.mpisim.network import NetworkModel
-from repro.mpisim.topology import Topology
+from repro.ccoll.movement import c_allgather_program, compressed_outcome
+from repro.collectives.context import CollectiveContext, Plan, as_rank_arrays
 
-__all__ = ["c_allreduce_program"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.api.cluster import Cluster
+
+__all__ = ["c_allreduce_program", "c_allreduce_plan"]
 
 #: tag offset separating the allgather stage from the reduce-scatter stage
 _AG_TAG_OFFSET = 1_000_000
@@ -73,27 +72,18 @@ def c_allreduce_program(
     return np.concatenate(blocks)
 
 
-def _run_c_allreduce(
-    inputs,
-    n_ranks: int,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    overlap: Optional[bool] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run C-Allreduce (or its non-overlapped ND variant with ``overlap=False``).
+def c_allreduce_plan(cluster: Cluster, n_ranks: int, inputs, overlap: bool = True) -> Plan:
+    """Plan C-Allreduce (or its non-overlapped ND variant with ``overlap=False``).
 
-    ``topology`` only affects link timing here (the flat ring schedule is kept);
-    use the topology-aware C-Allreduce (``Communicator.allreduce`` with
-    ``compression="auto"``) for the placement-aware schedule that compresses
-    inter-node hops only.
+    The cluster's topology only affects link timing here (the flat ring
+    schedule is kept); the topology-aware C-Allreduce
+    (``Communicator.allreduce`` with ``compression="auto"``) is the
+    placement-aware schedule that compresses inter-node hops only.
     """
-    config = config or CCollConfig()
+    config = cluster.config
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
-    use_overlap = config.use_overlap if overlap is None else overlap
-
+    check_finite(vectors, n_ranks)
     rs_adapters = [
         CompressionAdapter(config.make_pipelined_codec(), ctx) for _ in range(n_ranks)
     ]
@@ -107,8 +97,7 @@ def _run_c_allreduce(
             rs_adapters[rank],
             ag_adapters[rank],
             ctx,
-            overlap=use_overlap,
+            overlap=overlap,
         )
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, rs_adapters + ag_adapters)
+    return Plan(n_ranks, factory, finish=compressed_outcome(rs_adapters + ag_adapters))

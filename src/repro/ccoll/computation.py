@@ -25,24 +25,24 @@ step-wise variants of Table V.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressedMessage, CompressionAdapter
-from repro.ccoll.config import CCollConfig
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
+from repro.ccoll.adapter import CompressedMessage, CompressionAdapter, check_finite
+from repro.collectives.context import CollectiveContext, Plan, as_rank_arrays
 from repro.collectives.reduce_scatter import partition_chunks
-from repro.mpisim.backends import Backend, execute as _execute
 from repro.mpisim.commands import Compute, Irecv, Isend, Test, Wait, Waitall
-from repro.mpisim.network import NetworkModel
-from repro.mpisim.timeline import CAT_COMDECOM, CAT_MEMCPY, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
-from repro.mpisim.topology import Topology
+from repro.mpisim.timeline import CAT_COMDECOM, CAT_MEMCPY, CAT_REDUCTION, CAT_WAIT
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.api.cluster import Cluster
 
 __all__ = [
     "segment_count",
     "split_payload",
     "c_reduce_scatter_program",
+    "c_reduce_scatter_plan",
 ]
 
 #: uncompressed bytes represented by one pipeline segment (virtual)
@@ -169,20 +169,12 @@ def c_reduce_scatter_program(
     return chunks[rank]
 
 
-def _run_c_reduce_scatter(
-    inputs,
-    n_ranks: int,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    overlap: Optional[bool] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Run the C-Coll reduce-scatter; rank ``r``'s result is reduced chunk ``r``."""
-    config = config or CCollConfig()
+def c_reduce_scatter_plan(cluster: Cluster, n_ranks: int, inputs, overlap: bool = True) -> Plan:
+    """Plan the C-Coll reduce-scatter; rank ``r``'s result is reduced chunk ``r``."""
+    config = cluster.config
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
-    use_overlap = config.use_overlap if overlap is None else overlap
+    check_finite(vectors, n_ranks)
     adapters = [CompressionAdapter(config.make_pipelined_codec(), ctx) for _ in range(n_ranks)]
 
     def factory(rank: int, size: int):
@@ -192,8 +184,7 @@ def _run_c_reduce_scatter(
             vectors[rank],
             adapters[rank],
             ctx,
-            overlap=use_overlap,
+            overlap=overlap,
         )
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return Plan(n_ranks, factory)

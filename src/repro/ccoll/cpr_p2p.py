@@ -21,18 +21,15 @@ via :class:`~repro.ccoll.config.CCollConfig`.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressionAdapter
-from repro.ccoll.config import CCollConfig
-from repro.ccoll.movement import CCollOutcome, _finish
-from repro.collectives.context import CollectiveContext, as_rank_arrays
+from repro.ccoll.adapter import CompressionAdapter, check_finite
+from repro.ccoll.movement import compressed_outcome
+from repro.collectives.context import CollectiveContext, Plan, as_rank_arrays
 from repro.collectives.reduce_scatter import partition_chunks
-from repro.mpisim.backends import Backend, execute as _execute
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait, Waitall
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import (
     CAT_ALLGATHER,
     CAT_COMDECOM,
@@ -41,13 +38,19 @@ from repro.mpisim.timeline import (
     CAT_REDUCTION,
     CAT_WAIT,
 )
-from repro.mpisim.topology import Topology
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.api.cluster import Cluster
 
 __all__ = [
     "cpr_allreduce_program",
     "cpr_allgather_program",
     "cpr_bcast_program",
     "cpr_scatter_program",
+    "cpr_allreduce_plan",
+    "cpr_allgather_plan",
+    "cpr_bcast_plan",
+    "cpr_scatter_plan",
 ]
 
 
@@ -129,25 +132,18 @@ def cpr_allreduce_program(
     return np.concatenate(chunks)
 
 
-def _run_cpr_allreduce(
-    inputs,
-    n_ranks: int,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run the CPR-P2P (direct integration) ring allreduce."""
-    config = config or CCollConfig()
+def cpr_allreduce_plan(cluster: Cluster, n_ranks: int, inputs) -> Plan:
+    """Plan the CPR-P2P (direct integration) ring allreduce."""
+    config = cluster.config
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
+    check_finite(vectors, n_ranks)
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
 
     def factory(rank: int, size: int):
         return cpr_allreduce_program(rank, size, vectors[rank], adapters[rank], ctx)
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+    return Plan(n_ranks, factory, finish=compressed_outcome(adapters))
 
 
 # -------------------------------------------------------------------------- allgather
@@ -182,25 +178,18 @@ def cpr_allgather_program(
     return blocks
 
 
-def _run_cpr_allgather(
-    inputs,
-    n_ranks: int,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run the CPR-P2P ring allgather."""
-    config = config or CCollConfig()
+def cpr_allgather_plan(cluster: Cluster, n_ranks: int, inputs) -> Plan:
+    """Plan the CPR-P2P ring allgather."""
+    config = cluster.config
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
+    check_finite(blocks, n_ranks)
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
 
     def factory(rank: int, size: int):
         return cpr_allgather_program(rank, size, blocks[rank], adapters[rank], ctx)
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+    return Plan(n_ranks, factory, finish=compressed_outcome(adapters))
 
 
 # ------------------------------------------------------------------------------ bcast
@@ -243,19 +232,12 @@ def cpr_bcast_program(
     return buffer
 
 
-def _run_cpr_bcast(
-    data: np.ndarray,
-    n_ranks: int,
-    root: int = 0,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run the CPR-P2P binomial broadcast."""
-    config = config or CCollConfig()
+def cpr_bcast_plan(cluster: Cluster, n_ranks: int, data, root: int = 0) -> Plan:
+    """Plan the CPR-P2P binomial broadcast."""
+    config = cluster.config
     ctx = config.context()
     data = np.ascontiguousarray(data).reshape(-1)
+    check_finite([data], n_ranks)
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
 
     def factory(rank: int, size: int):
@@ -263,8 +245,7 @@ def _run_cpr_bcast(
             rank, size, data if rank == root else None, adapters[rank], ctx, root=root
         )
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+    return Plan(n_ranks, factory, finish=compressed_outcome(adapters))
 
 
 # ---------------------------------------------------------------------------- scatter
@@ -318,19 +299,12 @@ def cpr_scatter_program(
     return segment[0]
 
 
-def _run_cpr_scatter(
-    inputs,
-    n_ranks: int,
-    root: int = 0,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run the CPR-P2P binomial scatter."""
-    config = config or CCollConfig()
+def cpr_scatter_plan(cluster: Cluster, n_ranks: int, inputs, root: int = 0) -> Plan:
+    """Plan the CPR-P2P binomial scatter."""
+    config = cluster.config
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
+    check_finite(blocks, n_ranks)
     relative_blocks = [blocks[(root + i) % n_ranks] for i in range(n_ranks)]
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
 
@@ -339,5 +313,4 @@ def _run_cpr_scatter(
             rank, size, relative_blocks if rank == root else None, adapters[rank], ctx, root=root
         )
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+    return Plan(n_ranks, factory, finish=compressed_outcome(adapters))

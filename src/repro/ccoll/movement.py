@@ -16,25 +16,25 @@ broadcast, scatter, gather, all-to-all).  Its two rules are:
 
 This module implements the three collectives the paper evaluates on top of
 the framework: C-Allgather (ring), C-Bcast (binomial tree) and C-Scatter
-(binomial tree), each with a runner that also reports the observed
-compression ratio.
+(binomial tree), each with a plan builder whose outcome also reports the
+observed compression ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressedMessage, CompressionAdapter
-from repro.ccoll.config import CCollConfig
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.ccoll.adapter import CompressedMessage, CompressionAdapter, check_finite
+from repro.collectives.context import CollectiveContext, CollectiveOutcome, Plan, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait, Waitall
-from repro.mpisim.network import NetworkModel
+from repro.mpisim.launcher import SimulationResult
 from repro.mpisim.timeline import CAT_ALLGATHER, CAT_COMDECOM, CAT_OTHERS, CAT_WAIT
-from repro.mpisim.topology import Topology
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.api.cluster import Cluster
 
 __all__ = [
     "CCollOutcome",
@@ -42,6 +42,10 @@ __all__ = [
     "c_allgather_program",
     "c_bcast_program",
     "c_scatter_program",
+    "c_allgather_plan",
+    "c_bcast_plan",
+    "c_scatter_plan",
+    "compressed_outcome",
 ]
 
 #: tag offset separating the size-exchange round from the payload rounds
@@ -61,10 +65,26 @@ class CCollOutcome(CollectiveOutcome):
     inter_compressed: Optional[bool] = None
 
 
-def _finish(values, sim, adapters) -> CCollOutcome:
-    ratios = [a.overall_ratio() for a in adapters if a.overall_ratio() is not None]
-    ratio = float(np.mean(ratios)) if ratios else None
-    return CCollOutcome(values=values, sim=sim, compression_ratio=ratio)
+def compressed_outcome(
+    adapters: List[CompressionAdapter], inter_compressed: Optional[bool] = None
+) -> Callable[[SimulationResult], CCollOutcome]:
+    """``Plan.finish`` of a compressed collective.
+
+    The outcome carries the mean compression ratio the rank adapters observed
+    during the run.
+    """
+
+    def finish(sim: SimulationResult) -> CCollOutcome:
+        ratios = [a.overall_ratio() for a in adapters if a.overall_ratio() is not None]
+        ratio = float(np.mean(ratios)) if ratios else None
+        return CCollOutcome(
+            values=sim.rank_values,
+            sim=sim,
+            compression_ratio=ratio,
+            inter_compressed=inter_compressed,
+        )
+
+    return finish
 
 
 def exchange_sizes_program(
@@ -166,25 +186,18 @@ def c_allgather_program(
     return blocks
 
 
-def _run_c_allgather(
-    inputs,
-    n_ranks: int,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run C-Allgather; every rank's result is the list of all (reconstructed) blocks."""
-    config = config or CCollConfig()
+def c_allgather_plan(cluster: Cluster, n_ranks: int, inputs) -> Plan:
+    """Plan C-Allgather; every rank's result is the list of all (reconstructed) blocks."""
+    config = cluster.config
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
+    check_finite(blocks, n_ranks)
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
 
     def factory(rank: int, size: int):
         return c_allgather_program(rank, size, blocks[rank], adapters[rank], ctx)
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+    return Plan(n_ranks, factory, finish=compressed_outcome(adapters))
 
 
 # ----------------------------------------------------------------------------- bcast
@@ -236,19 +249,12 @@ def c_bcast_program(
     return result
 
 
-def _run_c_bcast(
-    data: np.ndarray,
-    n_ranks: int,
-    root: int = 0,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run C-Bcast; every rank's result is the (root-exact / reconstructed) buffer."""
-    config = config or CCollConfig()
+def c_bcast_plan(cluster: Cluster, n_ranks: int, data, root: int = 0) -> Plan:
+    """Plan C-Bcast; every rank's result is the (root-exact / reconstructed) buffer."""
+    config = cluster.config
     ctx = config.context()
     data = np.ascontiguousarray(data).reshape(-1)
+    check_finite([data], n_ranks)
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
 
     def factory(rank: int, size: int):
@@ -256,8 +262,7 @@ def _run_c_bcast(
             rank, size, data if rank == root else None, adapters[rank], ctx, root=root
         )
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+    return Plan(n_ranks, factory, finish=compressed_outcome(adapters))
 
 
 # --------------------------------------------------------------------------- scatter
@@ -318,19 +323,12 @@ def c_scatter_program(
     return result
 
 
-def _run_c_scatter(
-    inputs,
-    n_ranks: int,
-    root: int = 0,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run C-Scatter; rank ``r``'s result is its (reconstructed) block ``inputs[r]``."""
-    config = config or CCollConfig()
+def c_scatter_plan(cluster: Cluster, n_ranks: int, inputs, root: int = 0) -> Plan:
+    """Plan C-Scatter; rank ``r``'s result is its (reconstructed) block ``inputs[r]``."""
+    config = cluster.config
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
+    check_finite(blocks, n_ranks)
     relative_blocks = [blocks[(root + i) % n_ranks] for i in range(n_ranks)]
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
 
@@ -339,5 +337,4 @@ def _run_c_scatter(
             rank, size, relative_blocks if rank == root else None, adapters[rank], ctx, root=root
         )
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+    return Plan(n_ranks, factory, finish=compressed_outcome(adapters))

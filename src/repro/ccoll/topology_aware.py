@@ -24,8 +24,8 @@ share each node.
 Compressing the inter-node hops is itself a bet against the wire: on the
 calibrated 0.55 GB/s fabric it pays handsomely, but a rail-optimised or
 non-oversubscribed next-generation fabric can outrun the compressor, in which
-case the same hierarchical schedule should run uncompressed.  The runner's
-default ``compress_inter="auto"`` consults the topology's effective inter-node
+case the same hierarchical schedule should run uncompressed.  The plan
+builder therefore consults the topology's effective inter-node
 bandwidth (NIC rate tapered by the fabric's oversubscription ratio — see
 :meth:`repro.mpisim.topology.Topology.effective_inter_bandwidth`) against the
 codec's break-even bandwidth
@@ -36,14 +36,14 @@ rate can legitimately make *opposite* calls.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressionAdapter
+from repro.ccoll.adapter import CompressionAdapter, check_finite
 from repro.ccoll.config import CCollConfig
-from repro.ccoll.movement import CCollOutcome, _finish, c_allgather_program
-from repro.collectives.context import CollectiveContext, as_rank_arrays
+from repro.ccoll.movement import CCollOutcome, c_allgather_program, compressed_outcome
+from repro.collectives.context import CollectiveContext, Plan, as_rank_arrays
 from repro.collectives.hierarchical import (
     _group_binomial_bcast,
     _group_binomial_reduce,
@@ -51,15 +51,19 @@ from repro.collectives.hierarchical import (
     node_groups,
 )
 from repro.collectives.reduce_scatter import partition_chunks
-from repro.mpisim.backends import Backend, execute as _execute
 from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
+from repro.mpisim.launcher import SimulationResult
 from repro.mpisim.network import NetworkModel
 from repro.mpisim.topology import FlatTopology, Topology
 from repro.mpisim.timeline import CAT_COMDECOM, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.api.cluster import Cluster
+
 __all__ = [
     "topology_aware_c_allreduce_program",
     "select_inter_compression",
+    "topology_aware_c_allreduce_plan",
 ]
 
 _TAG_REDUCE = 0
@@ -186,38 +190,21 @@ def select_inter_compression(
     return effective < config.cost.codec_break_even_bandwidth(config.codec)
 
 
-def _run_topology_aware_c_allreduce(
-    inputs,
-    n_ranks: int,
-    topology: Optional[Topology] = None,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    compress_inter: Union[str, bool] = "auto",
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run the topology-aware C-Allreduce (compression on inter-node hops only).
+def topology_aware_c_allreduce_plan(cluster: Cluster, n_ranks: int, inputs) -> Plan:
+    """Plan the topology-aware C-Allreduce (compression on inter-node hops only).
 
-    ``compress_inter`` is ``"auto"`` (consult :func:`select_inter_compression`
-    — compress only on fabrics slower than the codec's break-even bandwidth),
-    ``True`` (always compress, the pre-fabric behaviour) or ``False`` (run
-    the hierarchical schedule uncompressed).  The decision taken is recorded
-    on the outcome as ``inter_compressed``.
+    :func:`select_inter_compression` decides whether the inter-node hops
+    compress: only on fabrics slower than the codec's break-even bandwidth.
+    Otherwise the same hierarchical schedule runs uncompressed.  The outcome
+    records the decision as ``inter_compressed``.
     """
-    topology = topology if topology is not None else FlatTopology()
-    config = config or CCollConfig()
-    if compress_inter == "auto":
-        compress = select_inter_compression(topology, config, network)
-    elif isinstance(compress_inter, bool):
-        compress = compress_inter
-    else:
-        raise ValueError(
-            f"compress_inter must be 'auto', True or False, got {compress_inter!r}"
-        )
+    topology = cluster.topology if cluster.topology is not None else FlatTopology()
+    config = cluster.config
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
     peers_by_rank, leaders = node_groups(topology, n_ranks)
 
-    if not compress:
+    if not select_inter_compression(topology, config, cluster.network):
         # the wire outruns the codec: same schedule, no codec on any hop
         def plain_factory(rank: int, size: int):
             return hierarchical_allreduce_program(
@@ -225,11 +212,15 @@ def _run_topology_aware_c_allreduce(
                 peers=peers_by_rank[rank], leaders=leaders,
             )
 
-        sim = _execute(backend, n_ranks, plain_factory, network=network, topology=topology)
-        return CCollOutcome(
-            values=sim.rank_values, sim=sim, compression_ratio=None, inter_compressed=False
-        )
+        def plain_finish(sim: SimulationResult) -> CCollOutcome:
+            return CCollOutcome(
+                values=sim.rank_values, sim=sim, compression_ratio=None, inter_compressed=False
+            )
 
+        return Plan(n_ranks, plain_factory, finish=plain_finish)
+
+    # only the node leaders exchange compressed data
+    check_finite(vectors, len(leaders))
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
 
     def factory(rank: int, size: int):
@@ -238,7 +229,4 @@ def _run_topology_aware_c_allreduce(
             peers=peers_by_rank[rank], leaders=leaders,
         )
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    outcome = _finish(sim.rank_values, sim, adapters)
-    outcome.inter_compressed = True
-    return outcome
+    return Plan(n_ranks, factory, finish=compressed_outcome(adapters, inter_compressed=True))

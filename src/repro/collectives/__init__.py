@@ -32,7 +32,7 @@ from repro.collectives.reduce_scatter import (
 )
 from repro.collectives.scatter import binomial_scatter_program
 from repro.collectives.selection import (
-    ALGORITHM_RUNNERS,
+    ALLREDUCE_ALGORITHMS,
     select_algorithm,
 )
 
@@ -48,7 +48,7 @@ __all__ = [
     "recursive_doubling_allreduce_program",
     "rabenseifner_allreduce_program",
     "hierarchical_allreduce_program",
-    "ALGORITHM_RUNNERS",
+    "ALLREDUCE_ALGORITHMS",
     "select_algorithm",
     "binomial_bcast_program",
     "binomial_scatter_program",

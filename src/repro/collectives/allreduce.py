@@ -10,19 +10,19 @@ is "Others".
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
+from repro.collectives.context import CollectiveContext, Plan, as_rank_arrays
 from repro.collectives.reduce_scatter import partition_chunks
-from repro.mpisim.backends import Backend, execute as _execute
 from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_ALLGATHER, CAT_MEMCPY, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
-from repro.mpisim.topology import Topology
 
-__all__ = ["ring_allreduce_over_group", "ring_allreduce_program"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.api.cluster import Cluster
+
+__all__ = ["ring_allreduce_over_group", "ring_allreduce_program", "ring_allreduce_plan"]
 
 
 def ring_allreduce_over_group(
@@ -97,20 +97,12 @@ def ring_allreduce_program(
     return result
 
 
-def _run_ring_allreduce(
-    inputs,
-    n_ranks: int,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Run the uncompressed ring allreduce (the paper's AD baseline)."""
-    ctx = ctx or CollectiveContext()
+def ring_allreduce_plan(cluster: Cluster, n_ranks: int, inputs) -> Plan:
+    """Plan the uncompressed ring allreduce (the paper's AD baseline)."""
+    ctx = cluster.context()
     vectors = as_rank_arrays(inputs, n_ranks)
 
     def factory(rank: int, size: int):
         return ring_allreduce_program(rank, size, vectors[rank], ctx)
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return Plan(n_ranks, factory)

@@ -6,18 +6,18 @@ each rank that already holds the data forwards it to a rank that does not.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectiveContext, Plan
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_MEMCPY, CAT_WAIT
-from repro.mpisim.topology import Topology
 
-__all__ = ["binomial_bcast_program"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.api.cluster import Cluster
+
+__all__ = ["binomial_bcast_program", "binomial_bcast_plan"]
 
 
 def binomial_bcast_program(
@@ -58,17 +58,9 @@ def binomial_bcast_program(
     return buffer
 
 
-def _run_binomial_bcast(
-    data: np.ndarray,
-    n_ranks: int,
-    root: int = 0,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Broadcast ``data`` from ``root``; every rank's result is the full buffer."""
-    ctx = ctx or CollectiveContext()
+def binomial_bcast_plan(cluster: Cluster, n_ranks: int, data, root: int = 0) -> Plan:
+    """Plan a broadcast of ``data`` from ``root``; every rank's result is the full buffer."""
+    ctx = cluster.context()
     data = np.ascontiguousarray(data).reshape(-1)
 
     def factory(rank: int, size: int):
@@ -76,5 +68,4 @@ def _run_binomial_bcast(
             rank, size, data if rank == root else None, ctx, root=root
         )
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return Plan(n_ranks, factory)

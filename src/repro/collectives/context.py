@@ -16,7 +16,7 @@ the C-Coll variants in :mod:`repro.ccoll`) needs two things besides the data:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 import numpy as np
 
@@ -25,7 +25,10 @@ from repro.mpisim.launcher import SimulationResult
 from repro.perfmodel.costmodel import CostModel
 from repro.utils.validation import ensure_positive
 
-__all__ = ["CollectiveContext", "CollectiveOutcome", "as_rank_arrays"]
+__all__ = ["CollectiveContext", "CollectiveOutcome", "Plan", "as_rank_arrays", "plain_outcome"]
+
+#: ``factory(rank, size)`` returns the rank program generator of one rank
+ProgramFactory = Callable[[int, int], Generator]
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class CollectiveContext:
 
 @dataclass
 class CollectiveOutcome:
-    """Return value of every collective runner: per-rank results plus the simulation."""
+    """Return value of every collective: per-rank results plus the simulation."""
 
     values: List[Any]
     sim: SimulationResult
@@ -86,6 +89,30 @@ class CollectiveOutcome:
     def value(self, rank: int) -> Any:
         """Result of one rank."""
         return self.values[rank]
+
+
+def plain_outcome(sim: SimulationResult) -> CollectiveOutcome:
+    """The outcome of a collective that reports nothing beyond the run itself."""
+    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+
+
+@dataclass
+class Plan:
+    """One collective call, built and ready to simulate.
+
+    Every builder in the collective registry (:mod:`repro.api.registry`)
+    returns one: all build-time work — input normalisation, algorithm
+    selection, codec adapters — is done, and what is left is to run
+    ``factory`` on ``n_ranks`` simulated ranks and hand the result to
+    ``finish``.  ``algorithm`` and ``compression`` name the schedule and the
+    compression route for the session's traces (``None``: not traced).
+    """
+
+    n_ranks: int
+    factory: ProgramFactory
+    finish: Callable[[SimulationResult], CollectiveOutcome] = plain_outcome
+    algorithm: Optional[str] = None
+    compression: Optional[str] = None
 
 
 def as_rank_arrays(inputs, n_ranks: int) -> List[np.ndarray]:

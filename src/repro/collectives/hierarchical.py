@@ -23,19 +23,20 @@ describes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from repro.collectives.allreduce import ring_allreduce_over_group
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectiveContext, Plan, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.topology import FlatTopology, Topology
 from repro.mpisim.timeline import CAT_MEMCPY, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
 
-__all__ = ["hierarchical_allreduce_program", "node_groups"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.api.cluster import Cluster
+
+__all__ = ["hierarchical_allreduce_program", "node_groups", "hierarchical_allreduce_plan"]
 
 #: tag blocks separating the three stages
 _TAG_REDUCE = 0
@@ -153,22 +154,15 @@ def hierarchical_allreduce_program(
     return vec
 
 
-def _run_hierarchical_allreduce(
-    inputs,
-    n_ranks: int,
-    topology: Optional[Topology] = None,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Run the hierarchical allreduce.
+def hierarchical_allreduce_plan(cluster: Cluster, n_ranks: int, inputs) -> Plan:
+    """Plan the hierarchical allreduce.
 
-    ``topology`` drives both the rank grouping and the link timing; with the
-    default flat topology every rank is its own node, so the algorithm
-    degenerates to the plain ring allreduce among all ranks.
+    The cluster's topology drives the rank grouping; without one every rank
+    is its own node, so the algorithm degenerates to the plain ring
+    allreduce among all ranks.
     """
-    topology = topology if topology is not None else FlatTopology()
-    ctx = ctx or CollectiveContext()
+    topology = cluster.topology if cluster.topology is not None else FlatTopology()
+    ctx = cluster.context()
     vectors = as_rank_arrays(inputs, n_ranks)
     peers_by_rank, leaders = node_groups(topology, n_ranks)
 
@@ -178,5 +172,4 @@ def _run_hierarchical_allreduce(
             peers=peers_by_rank[rank], leaders=leaders,
         )
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return Plan(n_ranks, factory)

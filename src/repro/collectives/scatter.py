@@ -8,18 +8,18 @@ forward the halves that belong to their children.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectiveContext, Plan, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_MEMCPY, CAT_WAIT
-from repro.mpisim.topology import Topology
 
-__all__ = ["binomial_scatter_program"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.api.cluster import Cluster
+
+__all__ = ["binomial_scatter_program", "binomial_scatter_plan"]
 
 
 def _segment_nbytes(blocks: List[np.ndarray], ctx: CollectiveContext) -> int:
@@ -82,21 +82,13 @@ def binomial_scatter_program(
     return segment[0]
 
 
-def _run_binomial_scatter(
-    inputs,
-    n_ranks: int,
-    root: int = 0,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Scatter one block per rank from ``root``.
+def binomial_scatter_plan(cluster: Cluster, n_ranks: int, inputs, root: int = 0) -> Plan:
+    """Plan a scatter of one block per rank from ``root``.
 
     ``inputs`` holds the block for each (absolute) rank; rank ``r``'s result is
     ``inputs[r]``.
     """
-    ctx = ctx or CollectiveContext()
+    ctx = cluster.context()
     blocks = as_rank_arrays(inputs, n_ranks)
     # the root keeps its block list in relative-rank order
     relative_blocks = [blocks[(root + i) % n_ranks] for i in range(n_ranks)]
@@ -106,5 +98,4 @@ def _run_binomial_scatter(
             rank, size, relative_blocks if rank == root else None, ctx, root=root
         )
 
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return Plan(n_ranks, factory)

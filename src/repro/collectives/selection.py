@@ -26,21 +26,15 @@ becomes bandwidth-bound at half the message size).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.collectives.allreduce import _run_ring_allreduce
-from repro.collectives.context import CollectiveContext, CollectiveOutcome
-from repro.collectives.hierarchical import _run_hierarchical_allreduce
-from repro.collectives.rabenseifner import _run_rabenseifner_allreduce
-from repro.collectives.recursive_doubling import _run_recursive_doubling_allreduce
-from repro.mpisim.backends import Backend
-from repro.mpisim.network import NetworkModel
+from repro.collectives.context import CollectiveContext
 from repro.mpisim.topology import DEFAULT_INTER_BANDWIDTH, Topology
 
 __all__ = [
-    "ALGORITHM_RUNNERS",
+    "ALLREDUCE_ALGORITHMS",
     "PLACEMENT_BLOCK",
     "PLACEMENT_INTERLEAVED",
     "PLACEMENT_IRREGULAR",
@@ -49,6 +43,7 @@ __all__ = [
     "DEGRADED_TIER_FACTOR",
     "bandwidth_scale",
     "classify_placement",
+    "resolve_algorithm",
     "select_algorithm",
 ]
 
@@ -120,13 +115,8 @@ def classify_placement(topology: Topology, n_ranks: int) -> str:
     return PLACEMENT_BLOCK
 
 
-#: algorithm name -> runner with the uniform (inputs, n_ranks, ...) signature
-ALGORITHM_RUNNERS: Dict[str, Callable[..., CollectiveOutcome]] = {
-    "ring": _run_ring_allreduce,
-    "recursive_doubling": _run_recursive_doubling_allreduce,
-    "rabenseifner": _run_rabenseifner_allreduce,
-    "hierarchical": _run_hierarchical_allreduce,
-}
+#: the uncompressed allreduce schedules (each a variant in the collective registry)
+ALLREDUCE_ALGORITHMS = ("ring", "recursive_doubling", "rabenseifner", "hierarchical")
 
 
 def select_algorithm(
@@ -137,7 +127,7 @@ def select_algorithm(
     """Pick an allreduce algorithm for a ``nbytes`` message on ``n_ranks`` ranks.
 
     Returns one of ``"recursive_doubling"``, ``"rabenseifner"``, ``"ring"`` or
-    ``"hierarchical"`` (keys of :data:`ALGORITHM_RUNNERS`).
+    ``"hierarchical"`` (the entries of :data:`ALLREDUCE_ALGORITHMS`).
     """
     if n_ranks <= 2:
         # one exchange either way; the doubling schedule is the simplest
@@ -183,43 +173,32 @@ def select_algorithm(
     return "rabenseifner"
 
 
-def _run_allreduce(
+def resolve_algorithm(
+    algorithm: str,
     inputs,
     n_ranks: int,
-    algorithm: str = "auto",
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
+    ctx: CollectiveContext,
     topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> Tuple[CollectiveOutcome, str]:
-    """Run an allreduce, selecting the algorithm from the tuning table.
+) -> str:
+    """Resolve an allreduce ``algorithm`` argument to one of :data:`ALLREDUCE_ALGORITHMS`.
 
-    ``algorithm`` may name any entry of :data:`ALGORITHM_RUNNERS` or be
-    ``"auto"`` to consult :func:`select_algorithm` with the per-rank virtual
-    message size.  Returns ``(outcome, algorithm_used)``.
+    ``"auto"`` consults :func:`select_algorithm` with the per-rank virtual
+    message size of ``inputs`` (one array per rank, or one array every rank
+    contributes); any other value must name an algorithm.
     """
-    ctx = ctx or CollectiveContext()
     if algorithm == "auto":
         # size-probe without expanding: as_rank_arrays copies per rank, and
-        # the selected runner normalises the inputs itself anyway
+        # the plan builder normalises the inputs itself anyway
         if isinstance(inputs, np.ndarray):
             probe = inputs
         else:
-            inputs = list(inputs)
-            if not inputs:
+            if not len(inputs):
                 raise ValueError(f"expected {n_ranks} per-rank arrays, got 0")
             probe = np.asarray(inputs[0])
-        algorithm = select_algorithm(ctx.vbytes(probe), n_ranks, topology)
-    runner = ALGORITHM_RUNNERS.get(algorithm)
-    if runner is None:
+        return select_algorithm(ctx.vbytes(probe), n_ranks, topology)
+    if algorithm not in ALLREDUCE_ALGORITHMS:
         raise ValueError(
             f"unknown allreduce algorithm {algorithm!r}; "
-            f"available: {', '.join(ALGORITHM_RUNNERS)} or 'auto'"
+            f"available: {', '.join(ALLREDUCE_ALGORITHMS)} or 'auto'"
         )
-    kwargs: Dict[str, Any] = {
-        "ctx": ctx,
-        "network": network,
-        "topology": topology,
-        "backend": backend,
-    }
-    return runner(inputs, n_ranks, **kwargs), algorithm
+    return algorithm

@@ -18,14 +18,6 @@ from repro.mpisim.commands import (
     Wait,
     Waitall,
 )
-from repro.mpisim.backends import (
-    Backend,
-    BackendUnavailableError,
-    MPI4PyBackend,
-    SimBackend,
-    default_backend,
-    resolve_backend,
-)
 from repro.mpisim.engine import Engine, RankResult, payload_nbytes
 from repro.mpisim.fairshare import (
     CONTENTION_FAIR,
@@ -88,12 +80,6 @@ __all__ = [
     "payload_nbytes",
     "SimulationResult",
     "run_simulation",
-    "Backend",
-    "BackendUnavailableError",
-    "SimBackend",
-    "MPI4PyBackend",
-    "default_backend",
-    "resolve_backend",
     "NetworkModel",
     "TransferState",
     "PROGRESS_ON_POLL",

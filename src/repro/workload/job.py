@@ -211,15 +211,8 @@ def compile_job(spec: JobSpec, cluster: Cluster, slots: Tuple[int, ...]) -> Comp
     for _ in range(spec.iterations):
         for call in spec.calls:
             inputs = call_inputs(spec, call, len(factories))
-            captured = comm.capture(
-                lambda c, call=call, inputs=inputs: _issue(c, call, inputs)
-            )
-            if captured.n_ranks != spec.n_ranks:  # pragma: no cover - defensive
-                raise RuntimeError(
-                    f"captured a {captured.n_ranks}-rank program for a "
-                    f"{spec.n_ranks}-rank job"
-                )
-            factories.append(captured.program_factory)
+            plan = comm.capture(lambda c, call=call, inputs=inputs: _issue(c, call, inputs))
+            factories.append(plan.factory)
             step_calls.append(call)
     return CompiledJob(
         spec=spec, slots=tuple(slots), step_factories=factories, step_calls=step_calls

@@ -43,6 +43,11 @@ class PlacementView(Topology):
     def node_of(self, rank: int) -> int:
         return self.base.node_of(self.slots[rank])
 
+    @property
+    def n_fabric_nodes(self) -> Optional[int]:
+        """Host slots of the base fabric (``None`` if it sizes itself)."""
+        return getattr(self.base, "n_fabric_nodes", None)
+
     def link(self, src: int, dst: int) -> Optional[LinkModel]:
         return self.base.link(self.slots[src], self.slots[dst])
 

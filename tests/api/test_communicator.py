@@ -1,10 +1,10 @@
 """Behavioural tests for :class:`repro.api.Communicator`.
 
-The equivalence pins in ``test_facade_equivalence.py`` prove the facade
-reproduces the legacy runners; these tests cover the facade's *own* logic:
-algorithm tracing (proving ``algorithm="auto"`` consults ``select_algorithm``),
-the shared compression alias table, the ``compression="auto"`` gate routing,
-and argument validation.
+``test_registry.py`` pins that every collective's captured plan simulates
+like the direct call; these tests cover the facade's *own* logic: algorithm
+tracing (proving ``algorithm="auto"`` consults ``select_algorithm``), the
+shared compression alias table, the ``compression="auto"`` gate routing, and
+argument validation.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 import repro.collectives.selection as selection
-from repro.api import Cluster
+from repro.api import Cluster, Communicator
 from repro.ccoll import CCollConfig, VARIANT_ALIASES, canonical_variant
 from repro.collectives.selection import RING_MIN_BYTES, select_algorithm
+from repro.compression import UnsupportedDataError
 from repro.mpisim import SharedUplinkTopology
 from repro.perfmodel import line_rate_network
+from repro.workload.placement import PlacementView
 
 
 def _vectors(n_ranks, n=256, dtype=np.float64):
@@ -155,6 +157,62 @@ class TestValidation:
 
         assert "compression" not in inspect.signature(Communicator.gather).parameters
         assert "compression" not in inspect.signature(Communicator.reduce).parameters
+
+
+class TestFabricSize:
+    def test_too_many_ranks_rejected_when_the_session_opens(self):
+        """A 16-host fat tree cannot seat 32 one-per-node ranks: the session
+        refuses up front instead of failing at the first inter-node send."""
+        cluster = Cluster.from_preset("fat_tree", nodes=8)
+        with pytest.raises(ValueError, match="16 host slots"):
+            cluster.communicator(32)
+        assert cluster.communicator(16).n_ranks == 16
+
+    def test_flat_topologies_stay_unbounded(self):
+        assert Cluster().communicator(512).n_ranks == 512
+        shared = Cluster(topology=SharedUplinkTopology(ranks_per_node=4))
+        assert shared.communicator(512).n_ranks == 512
+
+    def test_placement_view_is_checked_against_its_base_fabric(self):
+        cluster = Cluster.from_preset("fat_tree", nodes=8)
+        fits = cluster.with_updates(topology=PlacementView(cluster.topology, [14, 15]))
+        assert Communicator(fits, 2).n_ranks == 2
+        beyond = cluster.with_updates(topology=PlacementView(cluster.topology, [15, 16]))
+        with pytest.raises(ValueError, match="host slots"):
+            Communicator(beyond, 2)
+
+
+def _nan_rank_inputs(n_ranks):
+    vectors = _vectors(n_ranks, dtype=np.float32)
+    vectors[0][3] = np.nan
+    vectors[n_ranks - 1][7] = np.inf
+    return vectors
+
+
+_COMPRESSED_CALLS = {
+    "allreduce": lambda comm, x: comm.allreduce(x, compression="on"),
+    "allgather": lambda comm, x: comm.allgather(x, compression="on"),
+    "bcast": lambda comm, x: comm.bcast(x[0], compression="on"),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("op", sorted(_COMPRESSED_CALLS))
+    def test_rejected_before_a_compressed_run(self, op):
+        comm = Cluster().communicator(4)
+        with pytest.raises(UnsupportedDataError, match="NaN or Inf"):
+            _COMPRESSED_CALLS[op](comm, _nan_rank_inputs(4))
+        assert comm.compression_trace == []  # nothing ran
+
+    def test_uncompressed_run_accepts_non_finite_input(self):
+        outcome = Cluster().communicator(4).allreduce(_nan_rank_inputs(4), algorithm="ring")
+        assert np.isnan(outcome.value(0)[3]) and np.isinf(outcome.value(0)[7])
+
+    def test_declined_gate_accepts_non_finite_input(self):
+        comm = Cluster(network=line_rate_network()).communicator(4)
+        outcome = comm.allreduce(_nan_rank_inputs(4), compression="auto")
+        assert comm.last_compression == "AD"
+        assert np.isnan(outcome.value(1)[3])
 
 
 class TestSessionState:

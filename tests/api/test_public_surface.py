@@ -9,17 +9,8 @@ import repro
 import repro.api as api
 
 EXPECTED_API_ALL = [
-    "Backend",
-    "BackendUnavailableError",
-    "CaptureBackend",
-    "CapturedProgram",
     "Cluster",
     "Communicator",
-    "MPI4PyBackend",
-    "ProgramCaptured",
-    "SimBackend",
-    "default_backend",
-    "resolve_backend",
 ]
 
 #: the facade's collective surface — the methods the issue names, frozen
@@ -57,5 +48,3 @@ def test_communicator_collective_surface():
 def test_top_level_reexports_session_api():
     assert repro.Cluster is api.Cluster
     assert repro.Communicator is api.Communicator
-    assert repro.SimBackend is api.SimBackend
-    assert repro.MPI4PyBackend is api.MPI4PyBackend

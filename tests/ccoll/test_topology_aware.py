@@ -2,7 +2,8 @@
 
 Reached through the facade as ``Communicator.allreduce(compression="auto")`` on
 a multi-rank-per-node cluster (the facade routes such clusters to the
-topology-aware schedule with its ``compress_inter="auto"`` gate).
+topology-aware schedule, whose break-even gate decides whether the inter-node
+hops compress).
 """
 
 from __future__ import annotations

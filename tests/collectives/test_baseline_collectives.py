@@ -152,6 +152,18 @@ class TestBinomialBcast:
     def test_root_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="root"):
             comm_for(4).bcast(np.zeros(8), root=4)
+        with pytest.raises(ValueError, match="root"):
+            comm_for(4).bcast(np.zeros(8), root=1.5)
+
+    @pytest.mark.parametrize("op", ["scatter", "gather", "reduce"])
+    def test_non_integral_root_rejected_at_the_call(self, op):
+        with pytest.raises(ValueError, match="root must be an integer"):
+            getattr(comm_for(4), op)(make_inputs(4), root=1.5)
+
+    def test_integral_root_of_another_type_accepted(self):
+        data = np.linspace(0, 1, 50)
+        outcome = comm_for(4).bcast(data, root=np.int64(2))
+        np.testing.assert_array_equal(outcome.value(0), data)
 
 
 class TestBinomialScatter:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import Cluster
 from repro.collectives.selection import (
-    ALGORITHM_RUNNERS,
+    ALLREDUCE_ALGORITHMS,
     PLACEMENT_BLOCK,
     PLACEMENT_INTERLEAVED,
     PLACEMENT_IRREGULAR,
@@ -54,14 +54,14 @@ class TestDegenerateShapes:
             assert select_algorithm(8, 16, topo) == "recursive_doubling"
 
     def test_non_power_of_two_ranks_select_and_run(self):
-        """The table and every runner it names handle p != 2^k."""
+        """The table and every algorithm it names handle p != 2^k."""
         for n_ranks in (3, 6, 12):
             algo = select_algorithm(LARGE, n_ranks)
-            assert algo in ALGORITHM_RUNNERS
+            assert algo in ALLREDUCE_ALGORITHMS
             inputs = [np.full(64, float(rank + 1)) for rank in range(n_ranks)]
             comm = Cluster(network=NET).communicator(n_ranks)
             outcome = comm.allreduce(inputs)
-            assert comm.last_algorithm in ALGORITHM_RUNNERS
+            assert comm.last_algorithm in ALLREDUCE_ALGORITHMS
             expected = np.sum(inputs, axis=0)
             for rank in range(n_ranks):
                 np.testing.assert_allclose(outcome.value(rank), expected, rtol=1e-12)
