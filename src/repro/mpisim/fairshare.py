@@ -32,16 +32,21 @@ aggregate equivalence with the reservation queue for symmetric flow sets.
 
 As the fluid clock advances, each stage's carried bytes are re-expressed as
 reservations (``stage.reserve(segment_start, carried_bytes)``), so the
-trace-based capacity audit of
-:func:`~repro.mpisim.topology.capacity_conservation_violations` applies to
+capacity-conservation audit of :mod:`repro.mpisim.audit` applies to
 fair-share runs unchanged, and windowed poll credits observe the wire time
-fluid flows actually consumed.
+fluid flows actually consumed.  The registry itself publishes to the
+allocation subscribers of :mod:`repro.mpisim.audit` at the end of
+``open_flow``, ``commit_departure``, ``cancel_flow`` and
+``apply_capacity_change``, which is where the max-min audit checks every
+allocation — arrivals, departures, job kills and fault re-capacitation alike.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.mpisim.audit import ALLOCATION_SUBSCRIBERS
 
 __all__ = [
     "CONTENTION_RESERVATION",
@@ -201,6 +206,7 @@ class FairShareRegistry:
             stage.flows[flow.flow_id] = flow
         self._touch()
         self._redivide(start, seeds=flow.stages)
+        self._notify()
         return flow
 
     def earliest_departure(self) -> Optional[Tuple[float, FairFlow]]:
@@ -246,6 +252,7 @@ class FairShareRegistry:
             self._drain(flow, finish)
         self._flows.pop(flow.flow_id, None)
         self._touch()
+        self._notify()
         assert flow.finish_time is not None
         return flow.finish_time, flow
 
@@ -276,6 +283,7 @@ class FairShareRegistry:
             flow.remaining = 0.0
             flow.drained = True
             self._redivide(now, seeds=flow.stages)
+        self._notify()
         return was_streaming
 
     def apply_capacity_change(self, now: float, stages: Sequence[Any]) -> None:
@@ -292,10 +300,10 @@ class FairShareRegistry:
         now = max(float(now), self._clock)
         self._advance(now)
         seeds = [stage for stage in stages if getattr(stage, "flows", None)]
-        if not seeds:
-            return
-        self._touch()
-        self._redivide(now, seeds=seeds)
+        if seeds:
+            self._touch()
+            self._redivide(now, seeds=seeds)
+        self._notify()
 
     def reset(self) -> None:
         """Forget every flow and rewind the fluid clock (simulation reset)."""
@@ -306,6 +314,11 @@ class FairShareRegistry:
         self._clock = float("-inf")
         self.group_bytes.clear()
         self._touch()
+
+    def _notify(self) -> None:
+        """Hand the settled allocation to the allocation subscribers."""
+        for subscriber in ALLOCATION_SUBSCRIBERS:
+            subscriber(self)
 
     # --------------------------------------------------------- introspection
 

@@ -134,10 +134,14 @@ from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.mpisim.audit import (
+    RESERVATION_SUBSCRIBERS,
+    capacity_conservation_violations,
+    trace_reservations,
+)
 from repro.mpisim.fairshare import (
     CONTENTION_FAIR,
     CONTENTION_MODES,
@@ -248,6 +252,8 @@ class SharedLink:
         begin = max(start, self.busy_until)
         finish = begin + max(0.0, nbytes) / self.capacity
         self.busy_until = finish
+        for subscriber in RESERVATION_SUBSCRIBERS:
+            subscriber("reserve", self, finish, nbytes)
         return finish
 
     def clear(self) -> None:
@@ -255,6 +261,8 @@ class SharedLink:
         self.active = 0
         self.busy_until = float("-inf")
         self.assigned = 0
+        for subscriber in RESERVATION_SUBSCRIBERS:
+            subscriber("clear", self, None, None)
 
 
 @dataclass
@@ -287,64 +295,6 @@ class FairShareLink(SharedLink):
     def clear(self) -> None:
         super().clear()
         self.flows.clear()
-
-
-@contextmanager
-def trace_reservations():
-    """Record every :class:`SharedLink` reservation made while the context is open.
-
-    Yields a list that fills with ``("reserve", stage, finish, nbytes,
-    capacity)`` and ``("clear", stage, None, None, None)`` events in call
-    order (``clear`` marks a simulation reset, which legitimately rewinds a
-    reused stage).  Each reserve event carries the stage capacity *at reserve
-    time*: fault overlays re-capacitate stages mid-run, so auditing against
-    the stage's current capacity would flag spurious overlaps on any
-    reservation made before the change.  Pair with
-    :func:`capacity_conservation_violations` to audit whole simulations; the
-    property suite and ``bench_fabric_contention.py`` pin the invariant with
-    it.
-    """
-    events: List[Tuple] = []
-    real_reserve, real_clear = SharedLink.reserve, SharedLink.clear
-
-    def reserve(self, start, nbytes):
-        finish = real_reserve(self, start, nbytes)
-        events.append(("reserve", self, finish, nbytes, self.capacity))
-        return finish
-
-    def clear(self):
-        real_clear(self)
-        events.append(("clear", self, None, None, None))
-
-    SharedLink.reserve, SharedLink.clear = reserve, clear  # type: ignore[method-assign]
-    try:
-        yield events
-    finally:
-        SharedLink.reserve, SharedLink.clear = real_reserve, real_clear  # type: ignore[method-assign]
-
-
-def capacity_conservation_violations(events, tolerance: float = 1e-12) -> List[Tuple]:
-    """Overlapping reservations in a :func:`trace_reservations` event list.
-
-    A stage conserves capacity exactly when its reservations are serial (each
-    occupies ``bytes / capacity`` of wire time at its reserve-time capacity
-    and starts no earlier than the previous one finished).  Returns
-    ``(stage, begin, previous_finish)`` triples for every violation — empty
-    means aggregate throughput never exceeded any stage's capacity at any
-    time, including across mid-run capacity changes from fault overlays.
-    """
-    violations: List[Tuple] = []
-    last_finish: Dict[int, float] = {}
-    for kind, stage, finish, nbytes, capacity in events:
-        if kind == "clear":
-            last_finish.pop(id(stage), None)
-            continue
-        begin = finish - max(0.0, nbytes) / capacity
-        previous = last_finish.get(id(stage), float("-inf"))
-        if begin < previous - tolerance:
-            violations.append((stage, begin, previous))
-        last_finish[id(stage)] = finish
-    return violations
 
 
 def reserve_path(stages: Iterable[SharedLink], start: float, nbytes: float) -> float:

@@ -37,11 +37,12 @@ from dataclasses import dataclass, replace
 
 from repro.api import Cluster
 from repro.faults import FaultInjector, FaultSchedule
+from repro.mpisim.audit import RESERVATION_SUBSCRIBERS, subscribed
 from repro.mpisim.commands import Barrier, Irecv, Isend, Probe
 from repro.mpisim.engine import Engine, EngineJob
 from repro.mpisim.launcher import DEFAULT_MAX_COMMANDS
 from repro.workload.job import CompiledJob, JobSpec, compile_job
-from repro.workload.metrics import JobRecord, WorkloadReport, accumulate_stage_time
+from repro.workload.metrics import JobRecord, StageTimeMeter, WorkloadReport
 from repro.workload.placement import NodeAllocator, slots_for
 from repro.workload.recovery import (
     AttemptRecord,
@@ -528,7 +529,8 @@ class WorkloadEngine:
 
         for spec in specs:
             engine.schedule_event(spec.arrival, arrival(spec))
-        with accumulate_stage_time() as occupied:
+        meter = StageTimeMeter()
+        with subscribed(RESERVATION_SUBSCRIBERS, meter):
             engine.run()
         if pending:  # pragma: no cover - fit is validated upfront
             raise RuntimeError(
@@ -539,7 +541,7 @@ class WorkloadEngine:
             if record.finished is None and record.outcome != "failed":
                 # pragma: no cover - defensive
                 raise RuntimeError(f"job {record.spec.job_id!r} never retired")
-        self._last_stage_time = occupied
+        self._last_stage_time = meter.occupied
         return ordered, engine
 
     def _collect(self, records: List[JobRecord], engine: Engine) -> WorkloadReport:

@@ -16,6 +16,33 @@ from repro.mpisim.fairshare import FairShareRegistry
 from repro.mpisim.topology import FairShareLink
 
 
+#: the registry entry points whose settled allocation the hook audits
+MUTATORS = ("open_flow", "cancel_flow", "apply_capacity_change")
+
+
+def _audited_mutation(link, mutator):
+    """Violations the hook reports for the allocation ``mutator`` settles.
+
+    For ``cancel_flow`` and ``apply_capacity_change`` two flows share
+    ``link`` before the audit starts, so only the allocation that mutator
+    leaves behind is checked.
+    """
+    registry = FairShareRegistry()
+    if mutator == "open_flow":
+        with trace_fair_allocations() as violations:
+            registry.open_flow([link], 0.0, 1000.0)
+        return violations
+    registry.open_flow([link], 0.0, 1000.0)
+    killed = registry.open_flow([link], 0.0, 500.0)
+    with trace_fair_allocations() as violations:
+        if mutator == "cancel_flow":
+            registry.cancel_flow(killed, 1e-3)
+        else:
+            link.capacity /= 2.0
+            registry.apply_capacity_change(1e-3, [link])
+    return violations
+
+
 def _scenario(**overrides) -> Scenario:
     fields = dict(
         seed=11,
@@ -105,28 +132,30 @@ class TestInvariantSensitivity:
         assert record["status"] == "violation"
         assert any(v["invariant"] == "values" for v in record["violations"])
 
-    def test_fair_share_hook_catches_an_overcommitted_stage(self):
+    @pytest.mark.parametrize("mutator", MUTATORS)
+    def test_fair_share_hook_catches_an_overcommitted_stage(self, mutator):
         # the real registry always re-divides consistently, so a broken
         # allocation has to come from the stage itself lying about its rate
         class OvercommittedLink(FairShareLink):
             def allocated_rate(self):
                 return self.capacity * 2.0
 
-        registry = FairShareRegistry()
-        with trace_fair_allocations() as violations:
-            registry.open_flow([OvercommittedLink(capacity=100.0)], 0.0, 1000.0)
+        violations = _audited_mutation(OvercommittedLink(capacity=100.0), mutator)
         assert any(kind == "overcommit" for kind, _ in violations)
 
-    def test_fair_share_hook_catches_a_starved_bottleneck(self):
+    @pytest.mark.parametrize("mutator", MUTATORS)
+    def test_fair_share_hook_catches_a_starved_bottleneck(self, mutator):
         class IdleLink(FairShareLink):
             def allocated_rate(self):
                 return 0.0
 
-        registry = FairShareRegistry()
-        with trace_fair_allocations() as violations:
-            registry.open_flow([IdleLink(capacity=100.0)], 0.0, 1000.0)
+        violations = _audited_mutation(IdleLink(capacity=100.0), mutator)
         kinds = {kind for kind, _ in violations}
         assert "unbottlenecked" in kinds or "unsaturated" in kinds
+
+    @pytest.mark.parametrize("mutator", MUTATORS)
+    def test_fair_share_hook_accepts_each_legal_mutation(self, mutator):
+        assert _audited_mutation(FairShareLink(capacity=100.0), mutator) == []
 
     def test_fair_share_hook_accepts_legal_allocations(self):
         stage = FairShareLink(capacity=100.0)

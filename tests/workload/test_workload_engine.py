@@ -3,12 +3,69 @@
 import pytest
 
 from repro.api import Cluster
-from repro.fuzzer.executor import trace_fair_allocations
-from repro.mpisim.topology import (
-    capacity_conservation_violations,
-    trace_reservations,
-)
+from repro.mpisim.audit import audited
 from repro.workload import CollectiveCall, JobMix, JobSpec, WorkloadEngine
+
+#: exact ``stage_utilization`` of the seeded mix in ``TestStageUtilization``:
+#: stage names, their report order and the float values
+UTILIZATION_PINS = {
+    "fair": [
+        ("nic-up:0:0", 0.12179421907478223),
+        ("ft-up:0:0:1", 0.1695921685604674),
+        ("ft-agg-core:0:1:2", 0.5654438233087865),
+        ("ft-core-agg:2:2:1", 0.5654438233087865),
+        ("ft-down:2:1:0", 0.1695921685604674),
+        ("nic-down:8:0", 0.12179421907478223),
+        ("nic-up:8:0", 0.09134566430608665),
+        ("ft-up:2:0:0", 0.13334344659004443),
+        ("ft-agg-core:2:0:1", 0.09134566430608665),
+        ("ft-core-agg:1:0:0", 0.09134566430608665),
+        ("ft-down:0:0:0", 0.13334344659004443),
+        ("nic-down:0:0", 0.09134566430608665),
+        ("nic-up:9:0", 0.04199778228395779),
+        ("ft-agg-core:2:0:0", 0.43197493253863384),
+        ("ft-core-agg:0:0:0", 0.43197493253863384),
+        ("nic-down:1:0", 0.04199778228395779),
+        ("nic-up:1:0", 0.04779794948568519),
+        ("nic-down:9:0", 0.04779794948568519),
+        ("nic-up:2:0", 0.39585165474831907),
+        ("ft-up:0:1:1", 0.39585165474831907),
+        ("ft-down:2:1:1", 0.39585165474831907),
+        ("nic-down:10:0", 0.39585165474831907),
+        ("nic-up:10:0", 0.38997715025467605),
+        ("ft-up:2:1:0", 0.38997715025467605),
+        ("ft-down:0:0:1", 0.38997715025467605),
+        ("nic-down:2:0", 0.38997715025467605),
+    ],
+    "reservation": [
+        ("nic-up:0:0", 0.12499124525273565),
+        ("ft-up:0:0:1", 0.17404386262757898),
+        ("ft-agg-core:0:1:2", 0.5802863890644755),
+        ("ft-core-agg:2:2:1", 0.5802863890644755),
+        ("ft-down:2:1:0", 0.17404386262757898),
+        ("nic-down:8:0", 0.12499124525273565),
+        ("nic-up:8:0", 0.09374343393955173),
+        ("ft-up:2:0:0", 0.13684363315592055),
+        ("ft-agg-core:2:0:1", 0.09374343393955173),
+        ("ft-core-agg:1:0:0", 0.09374343393955173),
+        ("ft-down:0:0:0", 0.13684363315592055),
+        ("nic-down:0:0", 0.09374343393955173),
+        ("nic-up:9:0", 0.04310019921636881),
+        ("ft-agg-core:2:0:0", 0.443314018892952),
+        ("ft-core-agg:0:0:0", 0.443314018892952),
+        ("nic-down:1:0", 0.04310019921636881),
+        ("nic-up:1:0", 0.04905261737484336),
+        ("nic-down:9:0", 0.04905261737484336),
+        ("nic-up:2:0", 0.40624252643689646),
+        ("ft-up:0:1:1", 0.40624252643689646),
+        ("ft-down:2:1:1", 0.40624252643689646),
+        ("nic-down:10:0", 0.40624252643689646),
+        ("nic-up:10:0", 0.40021381967658315),
+        ("ft-up:2:1:0", 0.40021381967658315),
+        ("ft-down:0:0:1", 0.40021381967658315),
+        ("nic-down:2:0", 0.40021381967658315),
+    ],
+}
 
 
 def _fair_cluster(nodes=8):
@@ -59,15 +116,14 @@ class TestConcurrentRuns:
     def test_fair_rates_conserve_stage_capacity_under_concurrency(self):
         """Property: cross-tenant max-min arbitration never overcommits.
 
-        Audits the real run with the fuzzer's live monitors — every committed
-        allocation must satisfy the bottleneck property, and the reservation
-        trace must conserve per-stage capacity.
+        Audits the real run live — every settled allocation must satisfy
+        the bottleneck property, and every reservation must conserve
+        per-stage capacity.
         """
         engine = WorkloadEngine(_fair_cluster(), policy="spread", seed=3)
-        with trace_reservations() as events, trace_fair_allocations() as fair:
+        with audited() as violations:
             engine.run(_overlapping_jobs(n=4), baseline=False)
-        assert fair == []
-        assert capacity_conservation_violations(events) == []
+        assert violations == []
 
     def test_jobs_queue_fifo_when_fabric_is_full(self):
         # the fat-tree preset always exposes 16 hosts; 18-rank jobs take 9
@@ -110,6 +166,20 @@ class TestConcurrentRuns:
         assert any(util > 0.0 for util in data["stage_utilization"].values())
         text = report.to_text()
         assert "makespan" in text and "j0" in text
+
+
+class TestStageUtilization:
+    @pytest.mark.parametrize("contention", sorted(UTILIZATION_PINS))
+    def test_seeded_fat_tree_utilization_is_pinned(self, contention):
+        cluster = Cluster.from_preset(
+            "fat_tree", nodes=8, ranks_per_node=2, contention=contention
+        )
+        mix = JobMix(n_jobs=3, arrival_rate=3000.0, sizes=(4, 8),
+                     msg_elems=(4096, 16384))
+        report = WorkloadEngine(cluster, policy="spread", seed=6).run(
+            mix.generate(6), baseline=False
+        )
+        assert list(report.stage_utilization.items()) == UTILIZATION_PINS[contention]
 
 
 class TestValidation:
