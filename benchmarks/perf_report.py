@@ -62,6 +62,12 @@ DEFAULT_TOLERANCE = 1.5
 HOTPATH_N = 4_000_000
 HOTPATH_EB = 1e-3
 
+#: values per chunk a 16-rank C-Coll ring issues for 131072 values per rank
+CHUNK_N = 8192
+#: codec calls per timed repetition of a chunk entry (one call is too short
+#: for a stable best-of timing)
+CHUNK_CALLS = 50
+
 
 def hotpath_field(n: int, seed: int = 7) -> np.ndarray:
     """Mostly-non-constant field (same construction as bench_codec_hotpath)."""
@@ -144,6 +150,22 @@ def codec_suite(reps: int) -> dict:
         results[f"{name}_compress_4m"] = {"seconds": compress_s, "mb_per_s": mb / compress_s}
         results[f"{name}_decompress_4m"] = {"seconds": decompress_s, "mb_per_s": mb / decompress_s}
 
+    # per-call cost at the chunk size collectives issue (fixed cost dominates)
+    chunk = hotpath_field(CHUNK_N)
+    chunk_mb = chunk.nbytes / 1e6
+    for name, codec in (
+        ("szx", SZxCompressor(error_bound=HOTPATH_EB)),
+        ("pipe_szx", PipelinedSZx(error_bound=HOTPATH_EB)),
+    ):
+        payload = codec.compress_bytes(chunk)
+        compress_s = best_of(lambda: _repeat(codec.compress_bytes, chunk), reps) / CHUNK_CALLS
+        decompress_s = best_of(lambda: _repeat(codec.decompress_bytes, payload), reps) / CHUNK_CALLS
+        results[f"{name}_compress_8k"] = {"seconds": compress_s, "mb_per_s": chunk_mb / compress_s}
+        results[f"{name}_decompress_8k"] = {
+            "seconds": decompress_s,
+            "mb_per_s": chunk_mb / decompress_s,
+        }
+
     rng = np.random.default_rng(0)
     values = rng.integers(0, 1 << 10, size=(31250, 128), dtype=np.uint64)
     blob = pack_uint_bits_rows(values, 10)
@@ -153,6 +175,11 @@ def codec_suite(reps: int) -> dict:
     results["bitpack_rows_pack_4m_w10"] = {"seconds": pack_s, "mb_per_s": vmb / pack_s}
     results["bitpack_rows_unpack_4m_w10"] = {"seconds": unpack_s, "mb_per_s": vmb / unpack_s}
     return results
+
+
+def _repeat(call, argument) -> None:
+    for _ in range(CHUNK_CALLS):
+        call(argument)
 
 
 # ------------------------------------------------------------------ engine

@@ -12,12 +12,18 @@ bundle the payload with everything the simulation needs:
 * the achieved compression ratio (feeds the ratio-dependent throughput model
   and the harness's ratio statistics), and
 * the modelled compression/decompression durations.
+
+A message several ranks decompress (a forwarded C-Allgather block, the
+C-Bcast buffer) is decoded by the codec once: the adapter parks the array on
+the message for the remaining consumers, gives each its own copy, and drops
+it after the last one.  Messages only one rank decodes (the reduce-scatter
+partial sums) are never parked, so no decoded array outlives its use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +46,10 @@ class CompressedMessage:
     virtual_nbytes: int
     original_virtual_nbytes: int
     ratio: float
+    #: the decode several consumers share: ``[array, consumers still to
+    #: serve]`` while some are left, empty otherwise (see
+    #: :meth:`CompressionAdapter.decompress`)
+    shared_decode: List = field(default_factory=list, compare=False, repr=False)
 
     @property
     def nbytes(self) -> int:
@@ -83,9 +93,29 @@ class CompressionAdapter:
             ratio=buf.ratio,
         )
 
-    def decompress(self, message: CompressedMessage) -> np.ndarray:
-        """Reconstruct the array carried by ``message``."""
-        return self.codec.decompress(message.payload)
+    def decompress(self, message: CompressedMessage, consumers: int = 1) -> np.ndarray:
+        """Reconstruct the array carried by ``message``.
+
+        ``consumers`` is the number of ranks that decompress this same
+        message object (every receiver of a forwarded C-Allgather block or
+        C-Bcast buffer).  The first of them runs the codec and parks the
+        array on the message; every consumer gets its own copy, the last one
+        the parked array itself, which leaves the message.  So the codec runs
+        once per message, no two ranks share memory, and nothing decoded
+        outlives the message.  Each consumer is still charged its own
+        :meth:`decompress_seconds`.
+        """
+        if consumers <= 1:
+            return self.codec.decompress(message.payload)
+        shared = message.shared_decode
+        if not shared:
+            shared += [self.codec.decompress(message.payload), consumers]
+        array, left = shared
+        if left == 1:
+            shared.clear()
+            return array
+        shared[1] = left - 1
+        return array.copy()
 
     # ----------------------------------------------------------- time models
 

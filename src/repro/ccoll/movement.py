@@ -3,12 +3,18 @@
 The framework applies to collectives that only *move* data (allgather,
 broadcast, scatter, gather, all-to-all).  Its two rules are:
 
-1. **Compress once.**  Each data chunk is compressed exactly once at its
-   source and decompressed exactly once at its final consumer(s); every
-   intermediate hop forwards the *compressed* bytes untouched.  Compared with
-   CPR-P2P this removes ``(rounds - 1)`` compressions per chunk and — just as
-   important for accuracy — removes the repeated lossy re-compression that
-   makes CPR-P2P's error grow with the number of hops.
+1. **Compress once, decode once.**  Each data chunk is compressed exactly
+   once at its source; every intermediate hop forwards the *compressed*
+   bytes untouched, and every final consumer decompresses it once.  Compared
+   with CPR-P2P this removes ``(rounds - 1)`` compressions per chunk and —
+   just as important for accuracy — removes the repeated lossy
+   re-compression that makes CPR-P2P's error grow with the number of hops.
+   In the simulation the consumers of one forwarded message (the ``P - 1``
+   receivers of a C-Allgather block or of the C-Bcast buffer) share a single
+   codec decode: :meth:`~repro.ccoll.adapter.CompressionAdapter.decompress`
+   runs the codec for the first and hands every consumer its own copy, while
+   each is still charged its own modelled decompression time, so virtual
+   time is that of one decompression per consumer.
 2. **Known sizes up front.**  Because nothing is re-compressed, all compressed
    sizes are known after the initial compression; the ranks exchange them in a
    cheap (eager, 4-bytes-per-rank) synchronisation step so the subsequent
@@ -175,13 +181,14 @@ def c_allgather_program(
         messages[recv_index] = received
         send_index = recv_index
 
-    # 4. decompress everything received (the local block needs no decompression)
+    # 4. decompress everything received (the local block needs no
+    # decompression); the other size - 1 ranks decode each block too
     blocks: List[np.ndarray] = [None] * size
     blocks[rank] = my_block
     for index in range(size):
         if index == rank:
             continue
-        blocks[index] = adapter.decompress(messages[index])
+        blocks[index] = adapter.decompress(messages[index], consumers=size - 1)
         yield Compute(adapter.decompress_seconds(messages[index]), category=CAT_COMDECOM)
     return blocks
 
@@ -244,7 +251,7 @@ def c_bcast_program(
 
     if rank == root:
         return data
-    result = adapter.decompress(message)
+    result = adapter.decompress(message, consumers=size - 1)
     yield Compute(adapter.decompress_seconds(message), category=CAT_COMDECOM)
     return result
 

@@ -4,7 +4,11 @@ Section III-E2 of the paper redesigns the SZx workflow so compression can be
 interleaved with MPI progress polling:
 
 * the input is divided into chunks of 5120 values;
-* each chunk is compressed independently;
+* each chunk is compressed independently — every chunk is its own SZx
+  payload on the wire, but all chunks of a buffer are encoded (and decoded)
+  in one batched pass of :meth:`~repro.compression.szx.SZxCompressor.compress_many`
+  (:meth:`~repro.compression.szx.SZxCompressor.decompress_many`), which gives
+  the same bytes as one SZx call per chunk at a fraction of the fixed cost;
 * the compressed chunk sizes are stored together in an index at the *front* of
   the output buffer (instead of interleaved with the data), which is both
   cache-friendly and lets the decompressor locate every chunk without parsing;
@@ -14,8 +18,11 @@ interleaved with MPI progress polling:
 This module provides the one-shot :class:`PipelinedSZx` codec (drop-in
 compatible with every other :class:`~repro.compression.base.Compressor`) plus
 the incremental generator API (:meth:`PipelinedSZx.iter_compress`,
-:meth:`PipelinedSZx.iter_decompress`) used by the collective computation
-framework to overlap communication with (de)compression.
+:meth:`PipelinedSZx.iter_decompress`).  The generators compute every chunk
+up front in that single batched pass and then hand them out one at a time,
+so a caller still regains control between chunks; the collective
+computation framework models the overlap of communication with
+(de)compression in virtual time, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -111,14 +118,16 @@ class PipelinedSZx(Compressor):
     # ------------------------------------------------------ incremental API
 
     def iter_compress(self, data) -> Iterator[CompressedChunk]:
-        """Compress ``data`` chunk by chunk, yielding after every chunk.
+        """Compress ``data`` and yield its chunks one by one.
 
-        The caller regains control between chunks — exactly the hook the
-        collective computation framework uses to poll communication progress.
+        All chunks are encoded up front in one batched SZx pass; the caller
+        still regains control between chunks — the hook a progress-polling
+        caller (``MPI_Test``-style) uses.
         """
         arr = check_compressible(data)
-        for index, (start, stop) in enumerate(chunk_bounds(arr.size, self.chunk_elems)):
-            payload = self._inner.compress_bytes(arr[start:stop])
+        bounds = chunk_bounds(arr.size, self.chunk_elems)
+        payloads = self._inner.compress_many([arr[start:stop] for start, stop in bounds])
+        for index, ((start, stop), payload) in enumerate(zip(bounds, payloads)):
             yield CompressedChunk(index=index, start=start, stop=stop, payload=payload)
 
     def assemble(self, chunks: Sequence[CompressedChunk], count: int, dtype) -> bytes:
@@ -145,10 +154,12 @@ class PipelinedSZx(Compressor):
         return bytes(out)
 
     def iter_decompress(self, payload: bytes) -> Iterator[np.ndarray]:
-        """Decompress a PIPE-SZx buffer chunk by chunk (in element order)."""
+        """Decompress a PIPE-SZx buffer and yield its chunks in element order.
+
+        All chunks are decoded up front in one batched SZx pass.
+        """
         _header, chunk_payloads = self._parse(payload)
-        for piece in chunk_payloads:
-            yield self._inner.decompress_bytes(piece)
+        yield from self._inner.decompress_many(chunk_payloads)
 
     def compress_with_progress(
         self, data, progress: Optional[Callable[[int, int], None]] = None
@@ -175,8 +186,8 @@ class PipelinedSZx(Compressor):
         out = np.empty(header.count, dtype=header.dtype)
         pos = 0
         total = len(chunk_payloads)
-        for done, piece in enumerate(chunk_payloads, start=1):
-            part = self._inner.decompress_bytes(piece)
+        parts = self._inner.decompress_many(chunk_payloads)
+        for done, part in enumerate(parts, start=1):
             out[pos : pos + part.size] = part
             pos += part.size
             if progress is not None:

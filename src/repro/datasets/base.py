@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.utils.rng import resolve_rng
 
@@ -80,6 +79,8 @@ def smooth_random_field(
     """
     gen = resolve_rng(rng)
     noise = gen.standard_normal(shape)
+    from scipy import ndimage  # lazy: scipy costs most of `import repro`
+
     field = ndimage.gaussian_filter(noise, sigma=smoothness, mode="wrap")
     fmin, fmax = field.min(), field.max()
     if fmax > fmin:

@@ -113,8 +113,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check-invariants",
         action="store_true",
-        help="audit faulted runs with the fuzzer's capacity/fairness monitors "
-        "(recovery experiment only)",
+        help="audit faulted runs with the capacity/fairness monitors of "
+        "repro.mpisim.audit (recovery experiment only)",
     )
     parser.add_argument("--list", action="store_true", help="list available experiments")
     args = parser.parse_args(argv)

@@ -348,17 +348,12 @@ class Engine:
         self._program_factory = program_factory
         self._trace_events = bool(trace_events)
         # type-keyed command dispatch (replaces the isinstance chain on the
-        # hottest path; subclasses of command types are memoised on first use)
-        self._handlers: Dict[type, Callable[[_RankState, Command], None]] = {
-            Compute: self._handle_compute,
-            Isend: self._handle_isend,
-            Irecv: self._handle_irecv,
-            Wait: self._handle_wait,
-            Waitall: self._handle_waitall,
-            Test: self._handle_test,
-            Probe: self._handle_probe,
-            Barrier: self._handle_barrier,
-        }
+        # hottest path; subclasses of command types are memoised on first
+        # use).  The table holds plain functions, not bound methods, so the
+        # engine does not reference itself and is freed by reference counting
+        self._handlers: Dict[type, Callable[["Engine", _RankState, Command], None]] = dict(
+            _HANDLERS
+        )
         self._init_run_state()
 
     def _init_run_state(self) -> None:
@@ -391,8 +386,9 @@ class Engine:
         # barrier group -> [(rank, arrival)]; the ``None`` group is the
         # whole-world barrier over all n_ranks slots
         self._barrier_waiting: Dict[Optional[Tuple[int, ...]], List[Tuple[int, float]]] = {}
-        # scheduled callbacks, indexed by heap token of the (t, -1, idx) tier
-        self._events: List[Callable[[float], None]] = []
+        # scheduled callbacks, indexed by heap token of the (t, -1, idx) tier;
+        # a fired callback is replaced by None
+        self._events: List[Optional[Callable[[float], None]]] = []
         # rank -> compute-rate multiplier installed by fault events (slow
         # ranks); empty means every Compute runs at its modelled duration, so
         # fault-free simulations take the exact historical code path
@@ -690,7 +686,10 @@ class Engine:
                     if trace is not None:
                         trace.append((timestamp, -1))
                     counts[EV_SCHEDULED] = counts.get(EV_SCHEDULED, 0) + 1
-                    self._events[token](timestamp)
+                    # drop the callback as it fires: it typically closes over
+                    # this engine, and a kept one would make a cycle
+                    callback, self._events[token] = self._events[token], None
+                    callback(timestamp)
                     if fair is not None:
                         # a callback may have re-divided fair rates (fault
                         # events change stage capacities mid-run); keep the
@@ -814,7 +813,7 @@ class Engine:
         handler = self._handlers.get(type(command))
         if handler is None:
             handler = self._resolve_handler(state, command)
-        handler(state, command)
+        handler(self, state, command)
 
     def _resolve_handler(self, state: _RankState, command: Command):
         """Slow path: match subclasses of the command types and memoise them."""
@@ -1184,3 +1183,16 @@ class Engine:
         if idle:
             lines.append(f"  idle slots: {idle}")
         return "\n".join(lines)
+
+
+#: command type -> handler function, called as ``handler(engine, state, command)``
+_HANDLERS: Dict[type, Callable[[Engine, _RankState, Command], None]] = {
+    Compute: Engine._handle_compute,
+    Isend: Engine._handle_isend,
+    Irecv: Engine._handle_irecv,
+    Wait: Engine._handle_wait,
+    Waitall: Engine._handle_waitall,
+    Test: Engine._handle_test,
+    Probe: Engine._handle_probe,
+    Barrier: Engine._handle_barrier,
+}

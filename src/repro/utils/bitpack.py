@@ -11,15 +11,20 @@ Three granularities are provided:
 * :func:`pack_uint_bits` / :func:`unpack_uint_bits` encode a single flat
   array — one codec block at a time;
 * :func:`pack_uint_bits_rows` / :func:`unpack_uint_bits_rows` encode an
-  ``(n_rows, count)`` matrix in one pass, each row padded to a whole byte
-  exactly like an independent :func:`pack_uint_bits` call;
+  ``(n_rows, count)`` matrix, each row padded to a whole byte exactly like
+  an independent :func:`pack_uint_bits` call, in a fixed number of numpy
+  passes whatever the width: the values' big-endian bytes are expanded to
+  one byte per bit (``unpackbits``), the low ``nbits`` bits of every value
+  are kept by one strided copy, and one ``packbits`` packs them (decoding
+  runs the same passes backwards);
 * :func:`pack_width_classes` / :func:`unpack_width_classes` handle a matrix
-  whose rows use *different* widths: rows are grouped by width, each class is
-  encoded with one batched call, and the rows are scattered to / gathered
-  from per-row byte cursors.  This is the **width-class batch** primitive of
-  the vectorised codec data plane — the produced bytes are bit-for-bit what a
-  per-row Python loop would emit, but the hot path runs a constant number of
-  numpy passes per *distinct width* instead of an iteration per *row*.
+  whose rows use *different* widths: rows are sorted by width once, each
+  width class is a contiguous slice encoded with one row-packer call, and
+  one scatter (gather) moves every row to (from) its byte cursor.  This is
+  the **width-class batch** primitive of the vectorised codec data plane —
+  the produced bytes are bit-for-bit what a per-row Python loop would emit,
+  but the hot path runs a constant number of numpy passes per *distinct
+  width* instead of an iteration per *row* or per *bit*.
 
 The module also hosts the zigzag signed<->unsigned mapping shared by the SZx
 and ZFP codecs (previously duplicated in both).  All hot-path helpers work in
@@ -214,15 +219,15 @@ def pack_uint_bits_rows(values: np.ndarray, nbits: int) -> bytes:
         be = values.astype(f">u{storage}")
         tail = be.view(np.uint8).reshape(n_rows, count, storage)[:, :, storage - nb :]
         return np.ascontiguousarray(tail).tobytes()
-    dt = narrow_uint_dtype(nbits)
-    v = values.astype(dt, copy=False)
-    row_bits = int(row_nbytes(count, nbits)) * 8
-    bits = np.zeros((n_rows, row_bits), dtype=np.uint8)
-    view = bits[:, : count * nbits].reshape(n_rows, count, nbits)
-    one = dt.type(1)
-    for j in range(nbits):
-        view[:, :, j] = (v >> dt.type(nbits - 1 - j)) & one
-    return np.packbits(bits.reshape(-1)).tobytes()
+    # unpack the big-endian bytes of every value, keep its low ``nbits``
+    # bits, and pack the kept bits back (one packbits per row when the rows
+    # do not end on a byte boundary)
+    width = narrow_uint_dtype(nbits).itemsize * 8
+    bits = np.unpackbits(values.astype(f">u{width // 8}").view(np.uint8).reshape(-1))
+    kept = _low_bits(bits, n_rows * count, width, nbits).copy().view(np.uint8)
+    if (count * nbits) % 8:
+        return np.packbits(kept.reshape(n_rows, count * nbits), axis=1).tobytes()
+    return np.packbits(kept).tobytes()
 
 
 def unpack_uint_bits_rows(
@@ -255,14 +260,29 @@ def unpack_uint_bits_rows(
         full = np.zeros((n_rows, count, storage), dtype=np.uint8)
         full[:, :, storage - nb :] = raw.reshape(n_rows, count, nb)
         return full.view(f">u{storage}").reshape(n_rows, count).astype(dt, copy=False)
-    bits = np.unpackbits(raw, axis=1)[:, : count * nbits].reshape(n_rows, count, nbits)
-    acc = narrow_uint_dtype(nbits)
-    out = np.zeros((n_rows, count), dtype=acc)
-    one = acc.type(1)
-    for j in range(nbits):
-        np.left_shift(out, one, out=out)
-        out |= bits[:, :, j]
-    return out.astype(dt, copy=False)
+    # the inverse passes: unpack the rows' bits, right-align every value's
+    # ``nbits`` bits in a zeroed big-endian word, and pack the words
+    if (count * nbits) % 8:
+        bits = np.unpackbits(raw, axis=1, count=count * nbits)
+    else:
+        bits = np.unpackbits(raw.reshape(-1))
+    width = narrow_uint_dtype(nbits).itemsize * 8
+    words = np.zeros(n_rows * count * width, dtype=np.uint8)
+    _low_bits(words, n_rows * count, width, nbits)[...] = bits.reshape(-1).view(f"V{nbits}")
+    values = np.packbits(words).view(f">u{width // 8}").reshape(n_rows, count)
+    return values.astype(dt, copy=False)
+
+
+def _low_bits(bits: np.ndarray, n_values: int, width: int, nbits: int) -> np.ndarray:
+    """View the low ``nbits`` of every ``width``-bit value in ``bits``.
+
+    ``bits`` holds one ``0/1`` byte per bit, ``width`` per value, MSB first.
+    Each value's low bits become one ``V{nbits}`` item, so copying them out
+    of (or into) the view is a single strided pass over ``n_values`` items.
+    """
+    return np.ndarray(
+        (n_values,), dtype=f"V{nbits}", buffer=bits, offset=width - nbits, strides=(width,)
+    )
 
 
 # ------------------------------------------------------------- width classes
@@ -279,9 +299,10 @@ def pack_width_classes(
 
     ``nbits[i]`` is row ``i``'s width and ``starts[i]`` its byte cursor in the
     output region (``total_nbytes`` long, cursors typically a ``cumsum`` of
-    :func:`row_nbytes`).  Each width class is packed with one batched call and
-    its rows land at their cursors, so the region is byte-identical to packing
-    row by row in order.
+    :func:`row_nbytes`).  Rows are sorted by width once, so every width class
+    is a contiguous slice packed by one :func:`pack_uint_bits_rows` call, and
+    one scatter puts all rows at their cursors: the region is byte-identical
+    to packing row by row in order.
 
     Returns the region as ``bytes``; when ``out`` (a ``uint8`` array of at
     least ``total_nbytes``) is given, rows are scattered into it instead and
@@ -289,27 +310,16 @@ def pack_width_classes(
     ZFP's DC and detail planes) in one region.
     """
     values = np.asarray(values)
-    count = values.shape[1]
-    widths = np.unique(nbits)
-    if widths.size and values.size and values.dtype.kind == "u":
-        # narrowing to the widest class's dtype cuts the per-class traffic,
-        # but only when no value would truncate — otherwise keep the original
-        # dtype so the per-class fits check raises instead of corrupting
-        dt = narrow_uint_dtype(int(widths[-1]))
-        if dt.itemsize < values.dtype.itemsize and (
-            int(values.max()) >> (dt.itemsize * 8) == 0
-        ):
-            values = values.astype(dt)
     region = np.zeros(total_nbytes, dtype=np.uint8) if out is None else out
-    for width in widths:
-        w = int(width)
-        if w == 0:
-            continue  # zero-width rows occupy no bytes
-        rows = np.nonzero(nbits == width)[0]
-        per_row = int(row_nbytes(count, w))
-        blob = np.frombuffer(pack_uint_bits_rows(values[rows], w), dtype=np.uint8)
-        positions = starts[rows][:, None] + np.arange(per_row, dtype=np.int64)[None, :]
-        region[positions] = blob.reshape(rows.size, per_row)
+    order, classes, row_starts, sizes = _class_layout(nbits, values.shape[1])
+    if classes:
+        ordered = values[order]
+        packed = b"".join(
+            pack_uint_bits_rows(ordered[first:stop], width) for width, first, stop in classes
+        )
+        region[_cursor_index(starts[order], row_starts, sizes)] = np.frombuffer(
+            packed, dtype=np.uint8
+        )
     return region if out is not None else region.tobytes()
 
 
@@ -324,21 +334,55 @@ def unpack_width_classes(
 
     Returns a matrix of shape ``(len(nbits), count)`` (zero rows for
     zero-width entries).  ``dtype=None`` selects the narrowest unsigned dtype
-    holding the widest class present.
+    holding the widest class present.  One gather pulls every row in width
+    order, each class is decoded by one :func:`unpack_uint_bits_rows` call,
+    and one scatter restores the row order.
     """
     region = np.asarray(region, dtype=np.uint8)
-    widths = np.unique(nbits)
-    wmax = int(widths[-1]) if widths.size else 0
-    dt = narrow_uint_dtype(wmax) if dtype is None else np.dtype(dtype)
-    out = np.zeros((len(nbits), count), dtype=dt)
-    for width in widths:
-        w = int(width)
-        if w == 0:
-            continue
-        rows = np.nonzero(nbits == width)[0]
-        per_row = int(row_nbytes(count, w))
-        positions = starts[rows][:, None] + np.arange(per_row, dtype=np.int64)[None, :]
-        out[rows] = unpack_uint_bits_rows(
-            np.ascontiguousarray(region[positions]), rows.size, count, w, dtype=dt
-        )
+    nbits = np.asarray(nbits)
+    widest = int(nbits.max()) if nbits.size else 0
+    dt = narrow_uint_dtype(widest) if dtype is None else np.dtype(dtype)
+    order, classes, row_starts, sizes = _class_layout(nbits, count)
+    ordered = np.zeros((nbits.size, count), dtype=dt)
+    if classes:
+        stream = region[_cursor_index(starts[order], row_starts, sizes)]
+        for width, first, stop in classes:
+            ordered[first:stop] = unpack_uint_bits_rows(
+                stream[row_starts[first] :], stop - first, count, width, dtype=dt
+            )
+    out = np.empty_like(ordered)
+    out[order] = ordered
     return out
+
+
+def _class_layout(nbits: np.ndarray, count: int):
+    """Sort rows by width: ``(order, classes, row_starts, sizes)``.
+
+    ``order`` lists the rows in width order (stable), ``classes`` holds
+    ``(width, first, stop)`` of every nonzero width's run in that order, and
+    ``row_starts`` / ``sizes`` are the byte cursors and lengths of the rows
+    packed back to back in that order.
+    """
+    nbits = np.asarray(nbits, dtype=np.int64)
+    order = np.argsort(nbits, kind="stable")
+    ordered = nbits[order]
+    classes = []
+    if count and ordered.size:
+        cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), ordered.size]
+        classes = [
+            (int(ordered[first]), first, stop)
+            for first, stop in zip(cuts[:-1], cuts[1:])
+            if ordered[first]
+        ]
+    sizes = row_nbytes(count, ordered)
+    return order, classes, np.cumsum(sizes) - sizes, sizes
+
+
+def _cursor_index(starts: np.ndarray, row_starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Region index of every byte of rows packed back to back at ``row_starts``.
+
+    Row ``k`` occupies ``sizes[k]`` bytes at ``row_starts[k]`` of the packed
+    stream and belongs at ``starts[k]`` in the region.
+    """
+    shift = np.repeat(np.asarray(starts, dtype=np.int64) - row_starts, sizes)
+    return shift + np.arange(shift.size)

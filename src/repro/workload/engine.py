@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.api import Cluster
 from repro.faults import FaultInjector, FaultSchedule
@@ -135,6 +136,212 @@ class _Tenancy:
     nodes: Tuple[int, ...]
     slots: Tuple[int, ...]
     started: float
+
+
+class _ConcurrentRun:
+    """The state and event handlers of one concurrent workload run.
+
+    The engine reaches the handlers only through scheduled callbacks and
+    job retire hooks, and drops each of those once it fires or the job
+    retires, so a finished run holds no reference cycle and is freed by
+    reference counting.
+    """
+
+    def __init__(self, owner: "WorkloadEngine", specs: List[JobSpec]) -> None:
+        self.owner = owner
+        self.engine = owner._fresh_engine()
+        self.compile_cluster = owner._compile_cluster(self.engine)
+        self.allocator = NodeAllocator(owner.n_nodes, owner.policy, owner.seed)
+        self.records = {spec.job_id: JobRecord(spec=spec) for spec in specs}
+        self.pending: List[JobSpec] = []
+        self.running: Dict[str, _Tenancy] = {}
+        # retry-budget bookkeeping (kills + failed placements both count)
+        self.retries_used: Dict[str, int] = {}
+
+    def arrive(self, spec: JobSpec, now: float) -> None:
+        if not self.try_start(spec, now):
+            self.pending.append(spec)
+
+    def start_attempt(self, spec: JobSpec, now: float, nodes: Tuple[int, ...]) -> None:
+        owner, engine = self.owner, self.engine
+        slots = tuple(slots_for(nodes, owner.ranks_per_node, spec.n_ranks))
+        compiled = compile_job(spec, self.compile_cluster, slots)
+        record = self.records[spec.job_id]
+        resume = record.last_durable_step
+        if record.started is None:
+            record.started = now
+            record.prepare(spec.n_steps)
+        else:
+            # a restart: count it, remember the outage gap, and forget
+            # per-step observations the new attempt will re-produce
+            record.restarts += 1
+            record.recovery_times.append(now - record.attempts[-1].ended)
+            record.reset_steps_from(resume)
+        record.nodes = nodes
+        record.slots = slots
+        record.resume_step = resume
+        programs: Dict[int, Callable[[], Generator]] = {
+            slot: partial(
+                _job_program,
+                engine,
+                compiled,
+                local,
+                record,
+                owner.record_values,
+                start_step=resume,
+            )
+            for local, slot in enumerate(slots)
+        }
+        job = engine.bind_job(
+            now,
+            programs,
+            tag=spec.job_id,
+            on_retire=partial(self.retire, spec=spec),
+        )
+        self.running[spec.job_id] = _Tenancy(
+            spec=spec,
+            record=record,
+            job=job,
+            nodes=nodes,
+            slots=slots,
+            started=now,
+        )
+
+    def try_start(self, spec: JobSpec, now: float) -> bool:
+        nodes = self.allocator.allocate(self.owner._nodes_needed(spec))
+        if nodes is None:
+            return False
+        self.start_attempt(spec, now, nodes)
+        return True
+
+    def drain(self, now: float) -> None:
+        # first-fit drain in arrival order: a big job at the head does
+        # not starve smaller jobs behind it, but started jobs keep
+        # arrival order whenever they all fit
+        started = [spec for spec in self.pending if self.try_start(spec, now)]
+        for spec in started:
+            self.pending.remove(spec)
+
+    def account_checkpoints(
+        self, record: JobRecord, spec: JobSpec, upto: int, kill_time: Optional[float]
+    ) -> int:
+        """Book checkpoint writes for steps ``[resume_step, upto)``.
+
+        Returns the durable resume step: with ``kill_time`` set, only
+        checkpoints whose write committed (step exit + cost <= kill)
+        count — a write caught mid-flight protects nothing.
+        """
+        policy = self.owner._checkpoint_for(spec)
+        durable = record.last_durable_step
+        if policy is None:
+            return durable
+        for step in range(record.resume_step, upto):
+            if not policy.takes_after(step, spec.n_steps):
+                continue
+            cost = policy.cost(spec, step)
+            record.checkpoints_written += 1
+            record.checkpoint_overhead += cost
+            if kill_time is None:
+                durable = max(durable, step + 1)
+            else:
+                committed = record.step_bounds[step][1] + cost
+                if committed <= kill_time:
+                    durable = max(durable, step + 1)
+        return durable
+
+    def retire(self, job: EngineJob, spec: JobSpec) -> None:
+        tenancy = self.running.pop(spec.job_id)
+        record = tenancy.record
+        record.finished = job.finished
+        record.bytes_sent += job.bytes_sent
+        record.messages_sent += job.messages_sent
+        record.outcome = "completed"
+        record.useful_time += job.finished - tenancy.started
+        self.account_checkpoints(record, spec, spec.n_steps, None)
+        record.last_durable_step = spec.n_steps
+        self.allocator.release(tenancy.nodes)
+        self.drain(job.finished)
+
+    @staticmethod
+    def finalize_failed(record: JobRecord, now: float, reason: str) -> None:
+        record.outcome = "failed"
+        record.failure = JobFailed(
+            job_id=record.spec.job_id,
+            time=now,
+            reason=reason,
+            attempts=len(record.attempts),
+        )
+        # a failed job's retained progress is lost with it
+        record.wasted_time += record.useful_time
+        record.useful_time = 0.0
+
+    def schedule_retry(self, spec: JobSpec, now: float, reason: str) -> None:
+        """Back off and retry, or fail for good once the budget is gone."""
+        record = self.records[spec.job_id]
+        policy = self.owner._policy_for(spec)
+        used = self.retries_used.get(spec.job_id, 0)
+        if not policy.restarts or used >= policy.max_retries:
+            self.finalize_failed(record, now, reason)
+            return
+        self.retries_used[spec.job_id] = used + 1
+        self.engine.schedule_event(now + policy.delay(used), partial(self.retry, spec, reason))
+
+    def retry(self, spec: JobSpec, reason: str, now: float) -> None:
+        record = self.records[spec.job_id]
+        policy = self.owner._policy_for(spec)
+        if policy.mode == "restart":
+            # in-place: the original node set, whole or not at all
+            nodes = record.attempts[-1].nodes
+            placed = self.allocator.acquire(nodes)
+            nodes = nodes if placed else None
+        else:  # restart_elsewhere
+            nodes = self.allocator.allocate(self.owner._nodes_needed(spec))
+        if nodes is None:
+            self.schedule_retry(spec, now, reason)
+            return
+        self.start_attempt(spec, now, nodes)
+
+    def fail_attempt(self, tenancy: _Tenancy, node: int, now: float) -> None:
+        spec, record = tenancy.spec, tenancy.record
+        del self.running[spec.job_id]
+        self.engine.kill_job(tenancy.job, now)
+        record.bytes_sent += tenancy.job.bytes_sent
+        record.messages_sent += tenancy.job.messages_sent
+        done = record.completed_through()
+        durable = self.account_checkpoints(record, spec, done, now)
+        if durable > record.resume_step:
+            useful = record.step_bounds[durable - 1][1] - tenancy.started
+        else:
+            useful = 0.0
+        record.useful_time += useful
+        record.wasted_time += max(0.0, (now - tenancy.started) - useful)
+        record.attempts.append(
+            AttemptRecord(
+                index=len(record.attempts),
+                nodes=tenancy.nodes,
+                slots=tenancy.slots,
+                started=tenancy.started,
+                resume_step=record.resume_step,
+                ended=now,
+                completed_steps=done - record.resume_step,
+                next_resume_step=durable,
+                reason=f"node_loss:{node}",
+            )
+        )
+        record.last_durable_step = durable
+        self.allocator.release(tenancy.nodes)
+        self.schedule_retry(spec, now, f"node_loss:{node}")
+
+    def on_node_loss(self, node: int, now: float) -> None:
+        self.allocator.quarantine(node)
+        for tenancy in [t for t in self.running.values() if node in t.nodes]:
+            self.fail_attempt(tenancy, node, now)
+        self.drain(now)
+
+    def on_node_heal(self, node: int, now: float) -> None:
+        if node in self.allocator.quarantined:
+            self.allocator.unquarantine(node)
+        self.drain(now)
 
 
 class WorkloadEngine:
@@ -315,200 +522,8 @@ class WorkloadEngine:
     def _run_concurrent(
         self, specs: List[JobSpec]
     ) -> Tuple[List[JobRecord], Engine]:
-        engine = self._fresh_engine()
-        compile_cluster = self._compile_cluster(engine)
-        allocator = NodeAllocator(self.n_nodes, self.policy, self.seed)
-        records = {spec.job_id: JobRecord(spec=spec) for spec in specs}
-        pending: List[JobSpec] = []
-        running: Dict[str, _Tenancy] = {}
-        # retry-budget bookkeeping (kills + failed placements both count)
-        retries_used: Dict[str, int] = {}
-
-        def start_attempt(spec: JobSpec, now: float, nodes: Tuple[int, ...]) -> None:
-            slots = tuple(slots_for(nodes, self.ranks_per_node, spec.n_ranks))
-            compiled = compile_job(spec, compile_cluster, slots)
-            record = records[spec.job_id]
-            resume = record.last_durable_step
-            if record.started is None:
-                record.started = now
-                record.prepare(spec.n_steps)
-            else:
-                # a restart: count it, remember the outage gap, and forget
-                # per-step observations the new attempt will re-produce
-                record.restarts += 1
-                record.recovery_times.append(now - record.attempts[-1].ended)
-                record.reset_steps_from(resume)
-            record.nodes = nodes
-            record.slots = slots
-            record.resume_step = resume
-            programs: Dict[int, Callable[[], Generator]] = {
-                slot: (
-                    lambda local=local: _job_program(
-                        engine,
-                        compiled,
-                        local,
-                        record,
-                        self.record_values,
-                        start_step=resume,
-                    )
-                )
-                for local, slot in enumerate(slots)
-            }
-            job = engine.bind_job(
-                now,
-                programs,
-                tag=spec.job_id,
-                on_retire=lambda job, spec=spec: retire(job, spec),
-            )
-            running[spec.job_id] = _Tenancy(
-                spec=spec,
-                record=record,
-                job=job,
-                nodes=nodes,
-                slots=slots,
-                started=now,
-            )
-
-        def try_start(spec: JobSpec, now: float) -> bool:
-            nodes = allocator.allocate(self._nodes_needed(spec))
-            if nodes is None:
-                return False
-            start_attempt(spec, now, nodes)
-            return True
-
-        def drain(now: float) -> None:
-            # first-fit drain in arrival order: a big job at the head does
-            # not starve smaller jobs behind it, but started jobs keep
-            # arrival order whenever they all fit
-            started = [spec for spec in pending if try_start(spec, now)]
-            for spec in started:
-                pending.remove(spec)
-
-        def account_checkpoints(
-            record: JobRecord, spec: JobSpec, upto: int, kill_time: Optional[float]
-        ) -> int:
-            """Book checkpoint writes for steps ``[resume_step, upto)``.
-
-            Returns the durable resume step: with ``kill_time`` set, only
-            checkpoints whose write committed (step exit + cost <= kill)
-            count — a write caught mid-flight protects nothing.
-            """
-            policy = self._checkpoint_for(spec)
-            durable = record.last_durable_step
-            if policy is None:
-                return durable
-            for step in range(record.resume_step, upto):
-                if not policy.takes_after(step, spec.n_steps):
-                    continue
-                cost = policy.cost(spec, step)
-                record.checkpoints_written += 1
-                record.checkpoint_overhead += cost
-                if kill_time is None:
-                    durable = max(durable, step + 1)
-                else:
-                    committed = record.step_bounds[step][1] + cost
-                    if committed <= kill_time:
-                        durable = max(durable, step + 1)
-            return durable
-
-        def retire(job: EngineJob, spec: JobSpec) -> None:
-            tenancy = running.pop(spec.job_id)
-            record = tenancy.record
-            record.finished = job.finished
-            record.bytes_sent += job.bytes_sent
-            record.messages_sent += job.messages_sent
-            record.outcome = "completed"
-            record.useful_time += job.finished - tenancy.started
-            account_checkpoints(record, spec, spec.n_steps, None)
-            record.last_durable_step = spec.n_steps
-            allocator.release(tenancy.nodes)
-            drain(job.finished)
-
-        def finalize_failed(record: JobRecord, now: float, reason: str) -> None:
-            record.outcome = "failed"
-            record.failure = JobFailed(
-                job_id=record.spec.job_id,
-                time=now,
-                reason=reason,
-                attempts=len(record.attempts),
-            )
-            # a failed job's retained progress is lost with it
-            record.wasted_time += record.useful_time
-            record.useful_time = 0.0
-
-        def schedule_retry(spec: JobSpec, now: float, reason: str) -> None:
-            """Back off and retry, or fail for good once the budget is gone."""
-            record = records[spec.job_id]
-            policy = self._policy_for(spec)
-            used = retries_used.get(spec.job_id, 0)
-            if not policy.restarts or used >= policy.max_retries:
-                finalize_failed(record, now, reason)
-                return
-            retries_used[spec.job_id] = used + 1
-            engine.schedule_event(
-                now + policy.delay(used), retry_callback(spec, reason)
-            )
-
-        def retry_callback(spec: JobSpec, reason: str) -> Callable[[float], None]:
-            def fire(now: float) -> None:
-                record = records[spec.job_id]
-                policy = self._policy_for(spec)
-                if policy.mode == "restart":
-                    # in-place: the original node set, whole or not at all
-                    nodes = record.attempts[-1].nodes
-                    placed = allocator.acquire(nodes)
-                    nodes = nodes if placed else None
-                else:  # restart_elsewhere
-                    nodes = allocator.allocate(self._nodes_needed(spec))
-                if nodes is None:
-                    schedule_retry(spec, now, reason)
-                    return
-                start_attempt(spec, now, nodes)
-
-            return fire
-
-        def fail_attempt(tenancy: _Tenancy, node: int, now: float) -> None:
-            spec, record = tenancy.spec, tenancy.record
-            del running[spec.job_id]
-            engine.kill_job(tenancy.job, now)
-            record.bytes_sent += tenancy.job.bytes_sent
-            record.messages_sent += tenancy.job.messages_sent
-            done = record.completed_through()
-            durable = account_checkpoints(record, spec, done, now)
-            if durable > record.resume_step:
-                useful = record.step_bounds[durable - 1][1] - tenancy.started
-            else:
-                useful = 0.0
-            record.useful_time += useful
-            record.wasted_time += max(0.0, (now - tenancy.started) - useful)
-            record.attempts.append(
-                AttemptRecord(
-                    index=len(record.attempts),
-                    nodes=tenancy.nodes,
-                    slots=tenancy.slots,
-                    started=tenancy.started,
-                    resume_step=record.resume_step,
-                    ended=now,
-                    completed_steps=done - record.resume_step,
-                    next_resume_step=durable,
-                    reason=f"node_loss:{node}",
-                )
-            )
-            record.last_durable_step = durable
-            allocator.release(tenancy.nodes)
-            schedule_retry(spec, now, f"node_loss:{node}")
-
-        def on_node_loss(node: int, now: float) -> None:
-            allocator.quarantine(node)
-            for tenancy in [t for t in running.values() if node in t.nodes]:
-                fail_attempt(tenancy, node, now)
-            drain(now)
-
-        def on_node_heal(node: int, now: float) -> None:
-            if node in allocator.quarantined:
-                allocator.unquarantine(node)
-            drain(now)
-
+        run = _ConcurrentRun(self, specs)
+        engine = run.engine
         if not self.faults.empty:
             # faults interleave with arrivals on the same event heap; node
             # loss additionally quarantines the node (so the drain never
@@ -516,27 +531,19 @@ class WorkloadEngine:
             # running on it, handing them to their failure policies
             FaultInjector(
                 self.faults,
-                on_node_loss=on_node_loss,
-                on_node_heal=on_node_heal,
+                on_node_loss=run.on_node_loss,
+                on_node_heal=run.on_node_heal,
             ).install(engine)
-
-        def arrival(spec: JobSpec) -> Callable[[float], None]:
-            def fire(now: float) -> None:
-                if not try_start(spec, now):
-                    pending.append(spec)
-
-            return fire
-
         for spec in specs:
-            engine.schedule_event(spec.arrival, arrival(spec))
+            engine.schedule_event(spec.arrival, partial(run.arrive, spec))
         meter = StageTimeMeter()
         with subscribed(RESERVATION_SUBSCRIBERS, meter):
             engine.run()
-        if pending:  # pragma: no cover - fit is validated upfront
+        if run.pending:  # pragma: no cover - fit is validated upfront
             raise RuntimeError(
-                f"jobs never placed: {[s.job_id for s in pending]}"
+                f"jobs never placed: {[s.job_id for s in run.pending]}"
             )
-        ordered = [records[spec.job_id] for spec in specs]
+        ordered = [run.records[spec.job_id] for spec in specs]
         for record in ordered:
             if record.finished is None and record.outcome != "failed":
                 # pragma: no cover - defensive

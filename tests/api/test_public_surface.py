@@ -48,3 +48,18 @@ def test_communicator_collective_surface():
 def test_top_level_reexports_session_api():
     assert repro.Cluster is api.Cluster
     assert repro.Communicator is api.Communicator
+
+
+def test_import_repro_leaves_scipy_unloaded():
+    """scipy is imported only by the few functions that use it."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, repro; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

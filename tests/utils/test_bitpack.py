@@ -280,3 +280,47 @@ class TestWidthClasses:
         starts = np.array([0], dtype=np.int64)
         with pytest.raises(ValueError, match="do not fit"):
             pack_width_classes(values, nbits, starts, 1)
+
+
+def _bit_loop_pack(values, nbits):
+    """The historical per-bit packer: one numpy pass per bit position."""
+    n_rows, count = values.shape
+    if nbits == 0 or n_rows == 0 or count == 0:
+        return b""
+    row_bits = int(row_nbytes(count, nbits)) * 8
+    bits = np.zeros((n_rows, row_bits), dtype=np.uint8)
+    view = bits[:, : count * nbits].reshape(n_rows, count, nbits)
+    for j in range(nbits):
+        view[:, :, j] = (values >> np.uint64(nbits - 1 - j)) & np.uint64(1)
+    return np.packbits(bits.reshape(-1)).tobytes()
+
+
+def _bit_loop_unpack(buffer, n_rows, count, nbits):
+    """The historical per-bit unpacker (inverse of ``_bit_loop_pack``)."""
+    if nbits == 0 or n_rows == 0 or count == 0:
+        return np.zeros((n_rows, count), dtype=np.uint64)
+    per_row = int(row_nbytes(count, nbits))
+    raw = np.frombuffer(buffer, dtype=np.uint8)[: n_rows * per_row].reshape(n_rows, per_row)
+    bits = np.unpackbits(raw, axis=1)[:, : count * nbits].reshape(n_rows, count, nbits)
+    out = np.zeros((n_rows, count), dtype=np.uint64)
+    for j in range(nbits):
+        out = (out << np.uint64(1)) | bits[:, :, j].astype(np.uint64)
+    return out
+
+
+class TestRowPackersMatchBitLoop:
+    """The fixed-pass row packers against the per-bit loop they replaced."""
+
+    @pytest.mark.parametrize("nbits", range(65))
+    def test_every_row_length(self, nbits):
+        rng = np.random.default_rng(nbits)
+        top = np.uint64(2**nbits - 1) if nbits < 64 else np.uint64(2**64 - 1)
+        for count in range(1, 131):
+            values = rng.integers(0, top, size=(3, count), dtype=np.uint64, endpoint=True)
+            values[0, -1] = top  # every bit of the width set at least once
+            packed = pack_uint_bits_rows(values, nbits)
+            assert packed == _bit_loop_pack(values, nbits), count
+            expected = _bit_loop_unpack(packed, 3, count, nbits)
+            np.testing.assert_array_equal(unpack_uint_bits_rows(packed, 3, count, nbits), expected)
+            if nbits:
+                np.testing.assert_array_equal(expected, values)
